@@ -26,7 +26,7 @@ Calculator::Calculator(const SimSettings& settings, const Scene& scene,
                                    settings.image_height)),
       alive_(static_cast<std::size_t>(settings.ncalc), 1),
       crash_done_(static_cast<std::size_t>(settings.ncalc), 0),
-      tr_(settings.obs.trace, settings.events, calc_rank(index)),
+      tr_(settings.obs.trace, calc_rank(index)),
       metrics_{env.metrics} {
   peers_.reserve(static_cast<std::size_t>(settings.ncalc));
   for (int c = 0; c < settings.ncalc; ++c) {
@@ -60,8 +60,8 @@ void Calculator::report_nonfinite() {
 void Calculator::run(mp::Endpoint& ep) {
   std::vector<double> time_per_system(scene_.systems.size());
   std::vector<std::size_t> count_per_system(scene_.systems.size());
-  // Both sinks at once: the span stream and the legacy EventLog labels
-  // (verbatim — tests pin Figure 2's exact per-frame label sequence).
+  // Protocol instants in the obs stream (labels verbatim — tests pin
+  // Figure 2's exact per-frame label sequence).
   auto note = [&](std::uint32_t frame, const char* label) {
     tr_.instant(ep.clock(), frame, label);
   };

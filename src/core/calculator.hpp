@@ -114,7 +114,7 @@ class Calculator {
   /// after every rollback/resume. The window-2 ack for frame f is consumed
   /// iff f - epoch_start_ >= 2.
   std::uint32_t epoch_start_ = 0;
-  /// Observability: span/EventLog fan-out and this rank's metric updates.
+  /// Observability: this rank's spans/instants and metric updates.
   obs::RoleTracer tr_;
   obs::CalcMetrics metrics_;
   /// Collision broad-phase grid, lazily built and reused every frame.

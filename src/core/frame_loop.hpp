@@ -20,7 +20,6 @@
 #include "math/aabb.hpp"
 #include "platform/disk.hpp"
 #include "psys/system.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim::ckpt {
 class Vault;
@@ -124,9 +123,6 @@ struct SimSettings {
   float collision_radius = 0.05f;
   float collision_restitution = 0.3f;
   std::uint64_t seed = 0x9d5c0ff5eedULL;
-  /// When set, every role records its protocol phase transitions here
-  /// (Figure 2 as an executable trace). Must outlive the run.
-  trace::EventLog* events = nullptr;
   /// Deterministic faults to inject (drops, duplicates, delay spikes,
   /// degradation, slowdowns, calculator crashes). Default: none. The plan
   /// is shared by every role; crash membership is derived from it

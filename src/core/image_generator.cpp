@@ -23,7 +23,7 @@ ImageGenerator::ImageGenerator(const SimSettings& settings, const Scene& scene,
                                    settings.image_height)),
       fb_(settings.image_width, settings.image_height),
       crash_done_(static_cast<std::size_t>(settings.ncalc), 0),
-      tr_(settings.obs.trace, settings.events, kImageGenRank),
+      tr_(settings.obs.trace, kImageGenRank),
       metrics_{env.metrics} {}
 
 void ImageGenerator::render_externals(mp::Endpoint& ep) {

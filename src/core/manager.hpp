@@ -68,7 +68,7 @@ class Manager {
   /// Crashes already handled (by calculator index) — replayed frames must
   /// not re-consume an obituary or re-run a recovery.
   std::vector<char> crash_done_;
-  /// Observability: span/EventLog fan-out and this rank's metric updates.
+  /// Observability: this rank's spans/instants and metric updates.
   obs::RoleTracer tr_;
   obs::ManagerMetrics metrics_;
 };

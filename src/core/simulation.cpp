@@ -140,15 +140,6 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
     calc_powers.push_back(rates.at(static_cast<std::size_t>(calc_rank(c))));
   }
 
-  // The injector lives here, not in the runtime: one per run, shared by
-  // every rank's endpoint through the RuntimeOptions hook seam.
-  std::unique_ptr<fault::Injector> injector;
-  if (eff.fault_plan.any() && rt_options.fault == nullptr) {
-    injector = std::make_unique<fault::Injector>(eff.fault_plan, world,
-                                                 eff.events);
-    rt_options.fault = injector.get();
-  }
-
   // Observability: the caller's trace, or (own_vault pattern) a private
   // one when only a JSON export path was requested.
   std::unique_ptr<obs::Trace> own_trace;
@@ -163,6 +154,15 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
                      eff.obs.flight_recorder ? eff.obs.flight_capacity : 0);
     name_trace(*trace, eff);
     rt_options.trace = trace;
+  }
+
+  // The injector lives here, not in the runtime: one per run, shared by
+  // every rank's endpoint through the RuntimeOptions hook seam. Its fault
+  // notes land in the run's trace (sized above).
+  std::unique_ptr<fault::Injector> injector;
+  if (eff.fault_plan.any() && rt_options.fault == nullptr) {
+    injector = std::make_unique<fault::Injector>(eff.fault_plan, world, trace);
+    rt_options.fault = injector.get();
   }
 
   // Topology platform: the settings' description wins over the spec's.

@@ -165,13 +165,12 @@ JobHandle Farm::submit(JobSpec spec) {
            std::to_string(total_slots_) +
            " CPU slots — it can never be scheduled");
   }
-  // Cross-job isolation: per-job checkpoints, traces and event logs. Two
-  // jobs writing one vault/trace/log would race and entangle recoveries.
-  // Jobs carrying none of the shared pointers skip the scan, keeping a
-  // 10k-job submission burst linear.
+  // Cross-job isolation: per-job checkpoints and traces. Two jobs writing
+  // one vault/trace would race and entangle recoveries. Jobs carrying
+  // neither shared pointer skip the scan, keeping a 10k-job submission
+  // burst linear.
   const bool shares_anything = spec.settings.ckpt_vault != nullptr ||
-                               spec.settings.obs.trace != nullptr ||
-                               spec.settings.events != nullptr;
+                               spec.settings.obs.trace != nullptr;
   for (const auto& other : jobs_) {
     if (!shares_anything) break;
     if (spec.settings.ckpt_vault != nullptr &&
@@ -183,11 +182,6 @@ JobHandle Farm::submit(JobSpec spec) {
         spec.settings.obs.trace == other->spec.settings.obs.trace) {
       reject("job '" + spec.name + "' shares an obs::Trace with job '" +
              other->spec.name + "' — traces are per-job");
-    }
-    if (spec.settings.events != nullptr &&
-        spec.settings.events == other->spec.settings.events) {
-      reject("job '" + spec.name + "' shares an EventLog with job '" +
-             other->spec.name + "' — event logs are per-job");
     }
   }
   auto rec = std::make_shared<JobRecord>();
@@ -455,12 +449,11 @@ bool Farm::launch_batch(std::vector<LaunchReq> batch, double now,
       eff.obs.pool_metrics = false;  // pool is process-global; see Report
       if (req.restore) {
         // Restore segments are pure continuations: the first launch
-        // already produced the job's trace/analysis/event stream, so a
-        // resumed run records nothing (re-appending would double-count
-        // frames the DES says were never lost).
+        // already produced the job's trace and analysis, so a resumed run
+        // records nothing (re-appending would double-count frames the DES
+        // says were never lost).
         eff.obs = core::ObsSettings{};
         eff.obs.pool_metrics = false;
-        eff.events = nullptr;
       } else if (out.own_trace != nullptr) {
         eff.obs.trace = out.own_trace.get();
         // Farm-provided tracing brings the in-process analysis along:

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "math/rng.hpp"
-#include "trace/event_log.hpp"
+#include "obs/trace.hpp"
 
 namespace psanim::fault {
 
@@ -23,10 +23,10 @@ std::uint64_t pair_key(int src, int dst) {
 
 }  // namespace
 
-Injector::Injector(FaultPlan plan, int world_size, trace::EventLog* events)
+Injector::Injector(FaultPlan plan, int world_size, obs::Trace* trace)
     : plan_(plan),
       world_(world_size),
-      events_(events),
+      trace_(trace),
       pair_sends_(static_cast<std::size_t>(world_size) *
                   static_cast<std::size_t>(world_size)) {}
 
@@ -41,6 +41,12 @@ FaultStats Injector::stats() const {
   s.injected_delay_s =
       static_cast<double>(injected_delay_ns_.load()) * 1e-9;
   return s;
+}
+
+void Injector::note(int rank, double vtime, std::uint32_t frame,
+                    std::string_view label) {
+  if (trace_ == nullptr) return;
+  trace_->rank(rank).instant(trace_->labels().intern(label), frame, vtime);
 }
 
 mp::SendFaults Injector::on_send(int src, int dst, int tag,
@@ -59,12 +65,9 @@ mp::SendFaults Injector::on_send(int src, int dst, int tag,
                      static_cast<std::uint64_t>(
                          static_cast<std::uint32_t>(tag)));
 
-  auto note = [&](const char* what) {
-    if (events_ != nullptr) {
-      events_->record(depart_s, src, frame,
-                      std::string("fault: ") + what + " -> rank " +
-                          std::to_string(dst));
-    }
+  auto note_send = [&](const char* what) {
+    note(src, depart_s, frame,
+         std::string("fault: ") + what + " -> rank " + std::to_string(dst));
   };
 
   if (plan_.drop_rate > 0.0) {
@@ -77,27 +80,27 @@ mp::SendFaults Injector::on_send(int src, int dst, int tag,
       out.extra_wire_s += static_cast<double>(lost) * plan_.retransmit_s;
       drops_.fetch_add(static_cast<std::uint64_t>(lost),
                        std::memory_order_relaxed);
-      note(lost == 1 ? "dropped, retransmitting"
-                     : "dropped repeatedly, retransmitting");
+      note_send(lost == 1 ? "dropped, retransmitting"
+                          : "dropped repeatedly, retransmitting");
     }
   }
   if (plan_.duplicate_rate > 0.0 && roll(state) < plan_.duplicate_rate) {
     out.duplicate = true;
     out.duplicate_lag_s = plan_.duplicate_lag_s;
     duplicates_.fetch_add(1, std::memory_order_relaxed);
-    note("duplicated");
+    note_send("duplicated");
   }
   if (plan_.delay_rate > 0.0 && roll(state) < plan_.delay_rate) {
     out.extra_wire_s += plan_.delay_spike_s;
     delay_spikes_.fetch_add(1, std::memory_order_relaxed);
-    note("delay spike");
+    note_send("delay spike");
   }
   if (plan_.degrade && depart_s >= plan_.degrade->after_s) {
     const double degraded_wire = plan_.degrade->link.cost_s(wire_bytes);
     if (degraded_wire > base_wire_s) {
       out.extra_wire_s += degraded_wire - base_wire_s;
-      // Counted but not logged per message — after the degradation point
-      // this fires on nearly every send and would swamp the event log.
+      // Counted but not noted per message — after the degradation point
+      // this fires on nearly every send and would swamp the trace.
       degraded_msgs_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -113,11 +116,8 @@ mp::SendFaults Injector::on_send(int src, int dst, int tag,
 void Injector::on_duplicate_dropped(int rank, int src, double vtime,
                                     std::uint32_t frame) {
   duplicates_discarded_.fetch_add(1, std::memory_order_relaxed);
-  if (events_ != nullptr) {
-    events_->record(vtime, rank, frame,
-                    "fault: duplicate from rank " + std::to_string(src) +
-                        " discarded");
-  }
+  note(rank, vtime, frame,
+       "fault: duplicate from rank " + std::to_string(src) + " discarded");
 }
 
 double Injector::compute_factor(int rank, double vtime) const {

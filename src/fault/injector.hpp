@@ -5,17 +5,20 @@
 // (plan.seed, src, dst, tag, per-pair message counter), so the fault
 // stream for a given plan is identical across runs regardless of thread
 // scheduling. The per-pair counters are touched only by the sending
-// rank's thread — the same safety argument as Runtime::last_arrival.
+// rank's thread — the same safety argument as Runtime::last_arrival — and
+// each fault note goes to the acting rank's obs recorder under the same
+// rule (sender in on_send, receiver in on_duplicate_dropped).
 
 #include <atomic>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "mp/fault_hook.hpp"
 
-namespace psanim::trace {
-class EventLog;
+namespace psanim::obs {
+class Trace;
 }
 
 namespace psanim::fault {
@@ -43,10 +46,10 @@ struct FaultStats {
 
 class Injector final : public mp::FaultHook {
  public:
-  /// `events` (optional, not owned) receives one record per injected
-  /// fault, stamped with the sender's virtual time and current frame.
-  Injector(FaultPlan plan, int world_size,
-           trace::EventLog* events = nullptr);
+  /// `trace` (optional, not owned, already sized for `world_size`)
+  /// receives one instant per injected fault, stamped with the acting
+  /// rank's virtual time and current frame.
+  Injector(FaultPlan plan, int world_size, obs::Trace* trace = nullptr);
 
   const FaultPlan& plan() const { return plan_; }
   FaultStats stats() const;
@@ -59,9 +62,14 @@ class Injector final : public mp::FaultHook {
   double compute_factor(int rank, double vtime) const override;
 
  private:
+  /// Record `label` as an instant on `rank`'s recorder (owner thread only;
+  /// no-op without a trace).
+  void note(int rank, double vtime, std::uint32_t frame,
+            std::string_view label);
+
   FaultPlan plan_;
   int world_;
-  trace::EventLog* events_;
+  obs::Trace* trace_;
   /// Messages sent so far per ordered (src, dst) pair; row src is only
   /// touched by rank src's thread.
   std::vector<std::uint64_t> pair_sends_;

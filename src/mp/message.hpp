@@ -202,8 +202,10 @@ class Reader {
       throw DecodeError("psanim::mp::Reader: vector length exceeds payload");
     }
     std::vector<T> out(static_cast<std::size_t>(n));
-    std::memcpy(out.data(), bytes_.data() + pos_, out.size() * sizeof(T));
-    pos_ += out.size() * sizeof(T);
+    if (!out.empty()) {
+      std::memcpy(out.data(), bytes_.data() + pos_, out.size() * sizeof(T));
+      pos_ += out.size() * sizeof(T);
+    }
     return out;
   }
 

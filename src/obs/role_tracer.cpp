@@ -16,8 +16,7 @@ void RoleTracer::Phase::close() {
   rec_ = nullptr;
 }
 
-RoleTracer::RoleTracer(Trace* trace, trace::EventLog* events, int rank)
-    : events_(events), rank_(rank) {
+RoleTracer::RoleTracer(Trace* trace, int rank) {
   if (trace) {
     rec_ = &trace->rank(rank);
     labels_ = &trace->labels();
@@ -33,7 +32,6 @@ RoleTracer::Phase RoleTracer::phase(const mp::VirtualClock& clk,
 
 void RoleTracer::instant(const mp::VirtualClock& clk, std::uint32_t frame,
                          std::string_view label) {
-  if (events_) events_->record(clk.now(), rank_, frame, label);
   if (rec_) rec_->instant(labels_->intern(label), frame, clk.now());
 }
 

@@ -26,6 +26,7 @@
 #include "core/wire.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
+#include "obs/trace.hpp"
 #include "render/compare.hpp"
 #include "sim/scenario.hpp"
 
@@ -121,7 +122,7 @@ TEST(FarmAdmission, ValidateRejectsFarmInvalidConfigsDirectly) {
   EXPECT_NO_THROW(s.validate());
 }
 
-TEST(FarmAdmission, RejectsSharedVaultTraceOrEventLog) {
+TEST(FarmAdmission, RejectsSharedVaultOrTrace) {
   Farm f(flat_cluster(4, 2), fast_opts());
   ckpt::Vault vault;
   auto a = tiny_job("a");
@@ -133,12 +134,12 @@ TEST(FarmAdmission, RejectsSharedVaultTraceOrEventLog) {
   b.settings.ckpt_vault = &vault;  // same vault as a: reject
   EXPECT_THROW(f.submit(std::move(b)), std::invalid_argument);
 
-  trace::EventLog log;
+  obs::Trace trace;
   auto c = tiny_job("c");
-  c.settings.events = &log;
+  c.settings.obs.trace = &trace;
   EXPECT_NO_THROW(f.submit(std::move(c)));
   auto d = tiny_job("d");
-  d.settings.events = &log;
+  d.settings.obs.trace = &trace;  // same trace as c: reject
   EXPECT_THROW(f.submit(std::move(d)), std::invalid_argument);
 }
 

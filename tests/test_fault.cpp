@@ -7,7 +7,7 @@
 //  * bit-reproducibility: the same plan seed yields identical
 //    ProcessResult summaries, virtual times and rendered frames;
 //  * auditable faults: every injected fault and recovery action lands in
-//    the EventLog;
+//    the obs span stream as an instant on the rank that acted;
 //  * crash recovery: survivors inherit the dead calculator's domain and
 //    finish the animation.
 
@@ -31,7 +31,6 @@
 #include "psys/actions.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -91,10 +90,13 @@ void expect_identical_procs(const std::vector<mp::ProcessResult>& a,
   }
 }
 
-std::size_t count_labeled(const trace::EventLog& log, const char* prefix) {
+std::size_t count_labeled(const obs::Trace& trace, const char* prefix) {
   std::size_t n = 0;
-  for (const auto& e : log.sorted()) {
-    if (e.label.rfind(prefix, 0) == 0) ++n;
+  for (const auto& r : trace.sorted_records()) {
+    if (r.kind == obs::RecordKind::kInstant &&
+        trace.labels().name(r.label).rfind(prefix, 0) == 0) {
+      ++n;
+    }
   }
   return n;
 }
@@ -263,18 +265,18 @@ TEST_P(ChaosGrid, RunsCompleteAndReproduceBitExactly) {
   SimSettings settings = chaos_settings();
   settings.fault_plan = message_chaos_plan(seed);
 
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto first = run(scene, settings);
 
   // No deadlock and no lost frames: the image generator finished all of
   // them, under drops, duplicates and delay spikes.
   ASSERT_EQ(first.telemetry.image_frames().size(), settings.frames);
   EXPECT_GT(first.fault_stats.total_faults(), 0u);
-  EXPECT_GT(count_labeled(log, "fault:"), 0u);
+  EXPECT_GT(count_labeled(trace, "fault:"), 0u);
 
   // Same seed, same everything: virtual clocks, traffic and pixels.
-  settings.events = nullptr;
+  settings.obs.trace = nullptr;
   const auto second = run(scene, settings);
   expect_identical_procs(first.procs, second.procs);
   EXPECT_EQ(first.animation_s, second.animation_s);
@@ -288,6 +290,65 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 7u, 42u),
                        ::testing::Bool()));
 
+TEST(ChaosObs, MessageFaultNotesLiveOnTheActingRank) {
+  // Each message-fault note is an instant on the rank whose thread acted:
+  // the sender for "fault: <what> -> rank N", the receiver for "fault:
+  // duplicate from rank S discarded". Both ends record into their own
+  // RankRecorder, so the resolved stream cannot depend on the exec core.
+  const Scene scene = chaos_scene(/*snow=*/false);
+  SimSettings settings = chaos_settings();
+  settings.fault_plan = message_chaos_plan(42);
+
+  using Note = std::tuple<std::string, int, std::uint32_t, double>;
+  const auto fault_notes = [&](mp::ExecMode mode) {
+    obs::Trace trace;
+    settings.obs.trace = &trace;
+    const auto r = run(scene, settings, mode);
+    EXPECT_EQ(r.telemetry.image_frames().size(), settings.frames);
+    std::vector<Note> notes;
+    for (const auto& rec : trace.sorted_records()) {
+      std::string label = trace.labels().name(rec.label);
+      if (rec.kind != obs::RecordKind::kInstant ||
+          label.rfind("fault:", 0) != 0) {
+        continue;
+      }
+      notes.emplace_back(std::move(label), rec.rank, rec.frame, rec.begin_v);
+    }
+    std::sort(notes.begin(), notes.end());
+    return notes;
+  };
+
+  const auto fibers = fault_notes(mp::ExecMode::kFibers);
+  std::size_t sender_notes = 0, discard_notes = 0;
+  for (const auto& [label, rank, frame, vtime] : fibers) {
+    const std::string to = " -> rank ";
+    const std::string from = "fault: duplicate from rank ";
+    if (const auto at = label.find(to); at != std::string::npos) {
+      ++sender_notes;
+      EXPECT_NE(std::stoi(label.substr(at + to.size())), rank) << label;
+    } else if (label.rfind(from, 0) == 0) {
+      ++discard_notes;
+      // The receiver owns the discard note; its sender noted the copy.
+      const int src = std::stoi(label.substr(from.size()));
+      EXPECT_NE(src, rank) << label;
+      const std::string dup = "fault: duplicated -> rank " +
+                              std::to_string(rank);
+      EXPECT_TRUE(std::any_of(fibers.begin(), fibers.end(),
+                              [&](const Note& n) {
+                                return std::get<0>(n) == dup &&
+                                       std::get<1>(n) == src;
+                              }))
+          << label << " on rank " << rank;
+    } else {
+      ADD_FAILURE() << "unexpected fault note: " << label;
+    }
+  }
+  EXPECT_GT(sender_notes, 0u);
+  EXPECT_GT(discard_notes, 0u);
+
+  EXPECT_EQ(fibers, fault_notes(mp::ExecMode::kThreads));
+}
+
 // --- crash recovery ---------------------------------------------------
 
 TEST(CrashRecovery, SurvivorsFinishWithTheMergedDomain) {
@@ -295,8 +356,8 @@ TEST(CrashRecovery, SurvivorsFinishWithTheMergedDomain) {
   SimSettings settings = chaos_settings();
   settings.fault_plan.crashes = {{.calc = 1, .at_frame = 3}};
 
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto r = run(scene, settings);
 
   // All frames rendered despite losing a calculator mid-run.
@@ -312,8 +373,8 @@ TEST(CrashRecovery, SurvivorsFinishWithTheMergedDomain) {
   }
 
   // The crash and the recovery are in the trace.
-  EXPECT_EQ(count_labeled(log, "fault: calculator crashed"), 1u);
-  EXPECT_GE(count_labeled(log, "recovery:"), 2u);
+  EXPECT_EQ(count_labeled(trace, "fault: calculator crashed"), 1u);
+  EXPECT_GE(count_labeled(trace, "recovery:"), 2u);
 
   // The dead rank stopped early; every survivor outlived it.
   const double dead_finish =
@@ -344,14 +405,14 @@ TEST(CrashRecovery, ChaosPlusCrashIsReproducible) {
   settings.fault_plan = message_chaos_plan(1234);
   settings.fault_plan.crashes = {{.calc = 2, .at_frame = 4}};
 
-  trace::EventLog log;
-  settings.events = &log;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   const auto first = run(scene, settings);
   ASSERT_EQ(first.telemetry.image_frames().size(), settings.frames);
-  EXPECT_GT(count_labeled(log, "fault:"), 0u);
-  EXPECT_GE(count_labeled(log, "recovery:"), 2u);
+  EXPECT_GT(count_labeled(trace, "fault:"), 0u);
+  EXPECT_GE(count_labeled(trace, "recovery:"), 2u);
 
-  settings.events = nullptr;
+  settings.obs.trace = nullptr;
   const auto second = run(scene, settings);
   expect_identical_procs(first.procs, second.procs);
   EXPECT_TRUE(same_image(first.final_frame, second.final_frame));

@@ -8,7 +8,7 @@
 //  * every particle ends inside its owner's domain every frame;
 //  * virtual time is bit-reproducible run to run;
 //  * dynamic balancing fixes the infinite-space pathology;
-//  * the protocol events of Figure 2 appear in order.
+//  * the protocol instants of Figure 2 appear in order in the obs trace.
 
 #include <gtest/gtest.h>
 
@@ -23,10 +23,10 @@
 #include "mp/collectives.hpp"
 #include "mp/message.hpp"
 #include "mp/runtime.hpp"
+#include "obs/trace.hpp"
 #include "render/compare.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -283,11 +283,11 @@ TEST(Integration, PairCollisionsRunAndCharge) {
   EXPECT_GT(r.animation_s, 0.0);
 }
 
-TEST(Integration, EventLogReproducesFigure2Order) {
+TEST(Integration, TraceReproducesFigure2Order) {
   const Scene scene = small_scene(1, 600, 4);
   SimSettings settings = small_settings(4);
-  trace::EventLog events;
-  settings.events = &events;
+  obs::Trace trace;
+  settings.obs.trace = &trace;
   settings.ncalc = 2;
   const auto built = homogeneous_cluster(2);
   core::run_parallel(scene, settings, built.spec, built.placement);
@@ -295,18 +295,20 @@ TEST(Integration, EventLogReproducesFigure2Order) {
   // For each frame and calculator: creation-received < calculus <
   // exchange < report < frame-to-imgen < balance-done; and the image
   // completes after at least one calculator shipped its particles.
+  const auto records = trace.sorted_records();
   for (std::uint32_t frame = 0; frame < 4; ++frame) {
-    const auto evs = events.frame_events(frame);
     std::map<int, std::vector<std::string>> per_rank;
     double image_done = -1;
     double first_ship = 1e30;
-    for (const auto& e : evs) {
-      per_rank[e.rank].push_back(e.label);
-      if (e.label.find("image generation complete") != std::string::npos) {
-        image_done = e.vtime;
+    for (const auto& r : records) {
+      if (r.kind != obs::RecordKind::kInstant || r.frame != frame) continue;
+      const std::string label = trace.labels().name(r.label);
+      per_rank[r.rank].push_back(label);
+      if (label.find("image generation complete") != std::string::npos) {
+        image_done = r.begin_v;
       }
-      if (e.label.find("sent to image generator") != std::string::npos) {
-        first_ship = std::min(first_ship, e.vtime);
+      if (label.find("sent to image generator") != std::string::npos) {
+        first_ship = std::min(first_ship, r.begin_v);
       }
     }
     EXPECT_GE(image_done, first_ship) << "frame " << frame;

@@ -28,7 +28,6 @@
 #include "sim/report.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
-#include "trace/event_log.hpp"
 
 namespace psanim {
 namespace {
@@ -226,20 +225,24 @@ TEST(Recorder, EmitRecoveredSkipsOwnHistoryAndFlagsForeignRecords) {
   EXPECT_GT(fresh.next_id(), own.back().id);
 }
 
-// --- EventLog interning (satellite) ------------------------------------
+// --- label interning (satellite) --------------------------------------
 
-TEST(EventLogInterning, RepeatedLabelsShareOneEntry) {
-  trace::EventLog log;
+TEST(LabelTableInterning, RepeatedLabelsShareOneEntry) {
+  obs::LabelTable labels;
+  std::vector<std::uint32_t> ids;
   for (int i = 0; i < 100; ++i) {
-    log.record(0.1 * i, i % 3, 0, "calculus done");
-    log.record(0.1 * i + 0.05, i % 3, 0, std::string("frame ") +
-                                             std::to_string(i % 2));
+    ids.push_back(labels.intern("calculus done"));
+    ids.push_back(labels.intern(std::string("frame ") +
+                                std::to_string(i % 2)));
   }
-  EXPECT_EQ(log.size(), 200u);
-  EXPECT_EQ(log.label_count(), 3u);  // "calculus done", "frame 0", "frame 1"
-  // Resolution still yields the full strings, sorted by time.
-  const auto events = log.sorted();
-  EXPECT_EQ(events.front().label, "calculus done");
+  EXPECT_EQ(labels.size(), 3u);  // "calculus done", "frame 0", "frame 1"
+  // A repeated intern returns the first id; resolution yields the strings.
+  EXPECT_EQ(ids[0], ids[198]);
+  EXPECT_EQ(ids[1], ids[197]);
+  EXPECT_EQ(ids[3], ids[199]);
+  EXPECT_EQ(labels.name(ids[0]), "calculus done");
+  EXPECT_EQ(labels.name(ids[1]), "frame 0");
+  EXPECT_EQ(labels.name(ids[3]), "frame 1");
 }
 
 // --- settings validation (satellite) -----------------------------------
@@ -453,32 +456,6 @@ TEST(TraceRun, MetricsReproduceTelemetryAggregatesOnFaultFreeRuns) {
   EXPECT_NE(csv.find("psanim_exchange_bytes_total"), std::string::npos);
   EXPECT_NE(r.metrics.prometheus().find("psanim_exchange_bytes_total"),
             std::string::npos);
-}
-
-TEST(TraceRun, LegacyEventLogLabelsAreUnchangedByTracing) {
-  const Scene scene = obs_scene();
-  SimSettings settings = obs_settings();
-
-  trace::EventLog plain;
-  settings.events = &plain;
-  run(scene, settings);
-
-  trace::EventLog traced;
-  obs::Trace trace;
-  settings.events = &traced;
-  settings.obs.trace = &trace;
-  run(scene, settings);
-
-  // The flat log is a projection of the span stream: enabling obs must
-  // not change a single line of it.
-  const auto a = plain.sorted();
-  const auto b = traced.sorted();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].label, b[i].label) << i;
-    EXPECT_EQ(a[i].vtime, b[i].vtime) << i;
-    EXPECT_EQ(a[i].rank, b[i].rank) << i;
-  }
 }
 
 // --- chaos: the flight recorder survives a crash -----------------------

@@ -1,5 +1,4 @@
-// Tests for the trace module: telemetry aggregation, tables, CSV and the
-// protocol event log.
+// Tests for the trace module: telemetry aggregation, tables and CSV.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 #include <fstream>
 
 #include "trace/csv.hpp"
-#include "trace/event_log.hpp"
 #include "trace/table.hpp"
 #include "trace/telemetry.hpp"
 
@@ -120,28 +118,6 @@ TEST(Csv, RejectsWrongArityAndBadPath) {
   CsvWriter w({"a"});
   EXPECT_THROW(w.add_row({"1", "2"}), std::invalid_argument);
   EXPECT_THROW(w.save("/no/such/dir/f.csv"), std::runtime_error);
-}
-
-TEST(EventLog, SortsByTimeThenRank) {
-  EventLog log;
-  log.record(2.0, 1, 0, "b");
-  log.record(1.0, 3, 0, "c");
-  log.record(2.0, 0, 1, "a");
-  const auto evs = log.sorted();
-  ASSERT_EQ(evs.size(), 3u);
-  EXPECT_EQ(evs[0].label, "c");
-  EXPECT_EQ(evs[1].label, "a");  // same time, lower rank first
-  EXPECT_EQ(evs[2].label, "b");
-}
-
-TEST(EventLog, FrameFilterAndClear) {
-  EventLog log;
-  log.record(1.0, 0, 0, "f0");
-  log.record(2.0, 0, 1, "f1");
-  EXPECT_EQ(log.frame_events(1).size(), 1u);
-  EXPECT_EQ(log.frame_events(1)[0].label, "f1");
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
 }
 
 }  // namespace
