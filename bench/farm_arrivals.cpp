@@ -5,9 +5,9 @@
 // submitting short high-priority clips into a "batch" tenant's long-job
 // background, open-loop Poisson arrivals plus closed-loop think-delay
 // chains — replayed on the same 8-node shared cluster under FIFO,
-// preemptive priority (PR-9 strict head-of-line reservation), preemptive
-// fair-share, and the PR-10 legs: EASY backfill around the blocked head,
-// and backfill with preemption-cost-aware victim selection. All legs
+// preemptive priority (PR-9 strict head-of-line reservation), and the
+// PR-10 legs: EASY backfill around the blocked head, and backfill with
+// preemption-cost-aware victim selection. All legs
 // replay the identical stream, so every cross-leg ratio is apples to
 // apples. Versus PR 9 the heavy tail is also *wide* (40f -> world 5,
 // 120f -> world 8): PR 9's uniform 3-rank jobs left EASY nothing to do —
@@ -357,7 +357,6 @@ int main(int argc, char** argv) {
   const LegOut fifo = run_leg(stream, {farm::Policy::kFifo});
   const LegOut prio = run_leg(stream, {farm::Policy::kPriority});
   const LegOut prio2 = run_leg(stream, {farm::Policy::kPriority});
-  const LegOut fair = run_leg(stream, {farm::Policy::kFairShare});
   const LegOut bf =
       run_leg(stream, {farm::Policy::kPriority, /*easy_backfill=*/true});
   const LegCfg bfc_cfg{farm::Policy::kPriority, /*easy_backfill=*/true,
@@ -376,7 +375,6 @@ int main(int argc, char** argv) {
   };
   show("fifo", fifo);
   show("priority", prio);
-  show("fair-share", fair);
   show("backfill", bf);
   show("backfill+costaware", bfc);
 
@@ -392,11 +390,11 @@ int main(int argc, char** argv) {
                  prio_i99, fifo_i99);
     ++violations;
   }
-  if (prio.preemption_events <= 0 || fair.preemption_events <= 0) {
+  if (prio.preemption_events <= 0) {
     std::fprintf(stderr, "VIOLATION: a preemptive leg never preempted\n");
     ++violations;
   }
-  for (const auto* l : {&fifo, &prio, &prio2, &fair, &bf, &bfc, &bfc2}) {
+  for (const auto* l : {&fifo, &prio, &prio2, &bf, &bfc, &bfc2}) {
     if (l->jobs_done != stream.size()) {
       std::fprintf(stderr, "VIOLATION: leg drained %zu of %zu jobs\n",
                    l->jobs_done, stream.size());
@@ -465,7 +463,6 @@ int main(int argc, char** argv) {
   jleg(f, "fifo", fifo, ",");
   jleg(f, "priority", prio, ",");
   jleg(f, "priority_rerun", prio2, ",");
-  jleg(f, "fair_share", fair, ",");
   jleg(f, "backfill", bf, ",");
   jleg(f, "backfill_costaware", bfc, ",");
   jleg(f, "backfill_costaware_rerun", bfc2, "");

@@ -6,11 +6,22 @@
 // The paper runs one animation on the whole cluster; a production service
 // runs many at once. Farm accepts N independent jobs (each its own scene +
 // settings), admission-checks them against the shared ClusterSpec, and
-// schedules them with a deterministic work-conserving policy (FIFO or
-// shortest-virtual-job-first, both with backfill). Every job executes as
-// its own mp::Runtime — real threads, instance-isolated mailboxes and
-// clocks — over the CPU slots it was granted, and co-scheduled jobs run
-// concurrently in wall-clock too.
+// schedules them deterministically under one of four policies: FIFO and
+// shortest-virtual-job-first start every job that fits (work-conserving
+// backfill); priority and fair-share additionally preempt, reserve
+// capacity for the blocked head of the queue and, with easy_backfill, let
+// later jobs jump it only when that provably cannot delay its reservation.
+// Every job executes as its own mp::Runtime — real threads,
+// instance-isolated mailboxes and clocks — over the CPU slots it was
+// granted, and co-scheduled jobs run concurrently in wall-clock too.
+//
+// The farm is two parts. farm::Scheduler (scheduler.hpp) is the policy: a
+// single-threaded, deterministic state machine that owns the farm clock,
+// the queue order, the slot ledger, victims, reservations and backfill,
+// and never runs a job. Farm::drive() runs it: it claims the jobs the
+// scheduler launches under the handle lock, runs each batch on threads via
+// run_parallel, feeds durations back, and applies the decisions to job
+// results, the journal and the Report.
 //
 // Two-level virtual time. Each job's *internal* virtual time is exactly
 // what a standalone run on its granted sub-cluster would measure — the
@@ -31,7 +42,7 @@
 // SMP bus-sharing penalty of co-residency within a node's slot budget.
 //
 // Preemption (kPriority / kFairShare). The vault is the preemption
-// mechanism: to evict a running job the driver picks the earliest
+// mechanism: to evict a running job the scheduler picks the earliest
 // checkpoint frame the job has not yet passed, lets it drain there, seals
 // that snapshot in the job's per-job vault, frees its slots
 // (kPreempting -> kSuspended), and later relaunches it with
@@ -55,11 +66,11 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/policy.hpp"
 #include "ckpt/vault.hpp"
 #include "cluster/cost_model.hpp"
 #include "farm/job.hpp"
 #include "farm/journal.hpp"
+#include "farm/scheduler.hpp"
 #include "mp/runtime.hpp"
 #include "obs/metrics.hpp"
 
@@ -108,7 +119,7 @@ struct FarmOptions {
   /// (starvation guard for low-priority tenants under hostile load).
   int max_preemptions_per_job = 4;
   /// EASY backfill (preemptive policies only). When the head of the
-  /// policy order is blocked, the driver computes its reservation — the
+  /// policy order is blocked, the scheduler computes its reservation — the
   /// earliest instant it fits, from the DES's own per-job finish
   /// estimates taken at worst-case contention stretch (upper bounds) —
   /// and starts later queued jobs that provably cannot delay it: either
@@ -137,13 +148,6 @@ struct FarmOptions {
   /// Off, only the scalars survive (fb hash, makespan, SLO inputs) — a
   /// 10k-job stress run would otherwise hold every framebuffer at once.
   bool keep_results = true;
-};
-
-/// Per-shared-node usage over the whole farm run, fed by the shared node
-/// clocks.
-struct NodeUsage {
-  int peak_ranks = 0;       ///< max resident ranks at any farm-virtual instant
-  double busy_rank_s = 0.0; ///< integral of resident ranks over farm time
 };
 
 struct Report {
@@ -283,29 +287,18 @@ class Farm {
   const FarmOptions& options() const { return options_; }
 
  private:
-  struct Running;
-  struct LaunchReq;
-
   void drive();  // driver thread body
-  /// Returns true when slots the scheduling pass budgeted came back free
-  /// (a launch failed or a cancel won the race) — the driver must re-run
-  /// the pass at the same instant before advancing time.
-  bool launch_batch(std::vector<LaunchReq> batch, double now,
-                    std::vector<Running>& running,
-                    std::vector<int>& free_slots);
-  void recompute_stretch(std::vector<Running>& running) const;
-  /// Mark enough lower-ranked running jobs kPreempting that, once they
-  /// vacate, `blocked` fits. Never exceeds max_preemptions_per_job.
-  void mark_victims(const std::shared_ptr<detail::JobRecord>& blocked,
-                    std::vector<Running>& running, int total_free, double now);
-  void release_dependents(int seq, double at);
+  /// Claim, run and merge the scheduler's launch batch. Returns true when
+  /// a launch aborted (it failed, or a cancel won the claim) — its slots
+  /// are free again and the pass must re-run at the same instant.
+  bool launch_batch(Scheduler& sched);
+  detail::JobRecord& job(int seq) const;
   void journal(JournalType type, const detail::JobRecord& rec, double time_s,
                std::uint32_t frame = 0);
 
   cluster::ClusterSpec shared_;
   FarmOptions options_;
   int total_slots_ = 0;
-  bool preemptive_ = false;  ///< policy preempts and preempt_interval > 0
 
   std::shared_ptr<detail::SharedState> ss_;
   std::vector<std::shared_ptr<detail::JobRecord>> jobs_;
@@ -316,39 +309,13 @@ class Farm {
   Report report_;
   std::unique_ptr<JournalWriter> journal_;
 
-  // Everything below is driver-owned state (farm virtual time): occupancy
-  // by shared node (Report::nodes derives from it), per-tenant service,
-  // suspended-job restore info, closed-loop arrival releases, and the
-  // obs-file names already handed out (collision suffixing).
-  std::vector<int> occupancy_;
-  std::vector<NodeUsage> usage_;
-  std::map<std::string, double> tenant_used_;
-  /// kFairShare's scheduling view of tenant_used_: identical when
-  /// fair_share.half_life_s <= 0, exponentially decayed otherwise.
-  std::map<std::string, double> tenant_score_;
-  /// Max observed (segment duration / est) over fresh launches — the
-  /// calibration that turns a tenant estimate into a runtime upper bound
-  /// for EASY cond-1 backfill. 0 until the first launch lands.
-  double est_ratio_max_ = 0.0;
-  int backfills_ = 0;     ///< backfilled launch events
-  int reservations_ = 0;  ///< jobs that ever pinned a reservation
-  struct SuspendInfo {
-    /// Farm-owned, or a non-owning alias of the tenant's own vault.
-    std::shared_ptr<ckpt::Vault> vault;
-    ckpt::CkptPolicy ckpt;  ///< effective policy at launch
-    std::uint32_t resume_frame = 0;
-    /// Virtual work left past the vacate point — exact, so a suspended
-    /// backfill candidate needs no estimate calibration.
-    double remaining_s = 0.0;
-    Assignment original;
-  };
-  std::map<int, SuspendInfo> suspended_;
+  // Tallies drive() keeps for the metrics dump, and the obs-file names
+  // already handed out (collision suffixing).
+  int backfills_ = 0;       ///< backfilled launch events
+  int reservations_ = 0;    ///< jobs that ever pinned a reservation
   int preempt_events_ = 0;  ///< vacates (a job may contribute several)
   int restores_ = 0;
   int migrations_ = 0;  ///< restores onto a different shared-node set
-  std::map<int, std::vector<std::shared_ptr<detail::JobRecord>>> dependents_;
-  std::vector<std::pair<double, std::shared_ptr<detail::JobRecord>>>
-      arrivals_;  ///< min-heap by (time, seq)
   std::set<std::string> used_obs_names_;
   /// Vault aliases handed to recover()ed jobs — kept alive for the farm's
   /// lifetime so spec.settings.ckpt_vault raw pointers stay valid even if

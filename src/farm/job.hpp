@@ -23,23 +23,25 @@
 
 namespace psanim::farm {
 
-/// Queue disciplines. kFifo/kSjf are work-conserving with backfill: the
-/// queue is scanned in policy order and every job that fits the free slots
-/// starts, so capacity never idles while a runnable job waits.
-/// kPriority/kFairShare are *preemptive* (when FarmOptions::preempt_interval
-/// is positive): the head of the policy order reserves capacity strictly —
-/// no backfill past a blocked head — and may evict running jobs by
-/// checkpointing them into their vault (see the Farm header).
+/// Queue disciplines. Each is one ordering key (Scheduler::rank); the queue
+/// is scanned in (rank, arrival, submission) order. kFifo/kSjf are
+/// work-conserving: every job that fits the free slots starts, so capacity
+/// never idles while a runnable job waits. kPriority/kFairShare are
+/// *preemptive* (when FarmOptions::preempt_interval is positive): the first
+/// job that does not fit may evict worse-ranked running jobs by
+/// checkpointing them into their vault, and pins a reservation; later jobs
+/// wait behind it, or — with FarmOptions::easy_backfill — start only when
+/// they provably cannot delay that reservation (see the Farm header).
 enum class Policy {
   kFifo,       ///< submission order (arrival time, then submission sequence)
   kSjf,        ///< shortest-virtual-job-first by estimated virtual cost
   kPriority,   ///< JobSpec::priority desc, then arrival; preempts lower
-  kFairShare,  ///< least-served tenant first (per-tenant busy_rank_s)
+  kFairShare,  ///< least-served tenant first (decayed rank-seconds)
 };
 
 std::string to_string(Policy p);
 
-/// How the preemptive driver ranks eligible running jobs for eviction.
+/// How the preemptive scheduler ranks eligible running jobs for eviction.
 enum class VictimSelection {
   /// PR-9 behavior: lowest priority / most over-served tenant first, then
   /// the youngest segment (least sunk work re-queued).

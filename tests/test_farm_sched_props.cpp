@@ -3,9 +3,12 @@
 // invariants that must hold no matter what the trace looks like — no
 // stranded job, capacity never oversubscribed, completion set == submission
 // set minus cancels, queue-depth series terminates, exact-double
-// determinism across reruns and across both execution cores. Around the
-// sweep: directed tests pinning the EASY-backfill reservation guarantee,
-// cost-aware victim selection, and decayed fair-share.
+// determinism across reruns and across both execution cores. The same
+// invariants are then checked on farm::Scheduler alone, driven by a
+// stand-in for Farm::drive() from a synthetic duration table with exact
+// ties. Around the sweeps: directed tests pinning the EASY-backfill
+// reservation guarantee, cost-aware victim selection, and decayed
+// fair-share.
 
 #include <gtest/gtest.h>
 
@@ -313,6 +316,219 @@ TEST(FarmSchedProps, IdenticalAcrossBothExecutionCores) {
       expect_identical(run_trace(seed, fibers), run_trace(seed, threads));
     }
   }
+}
+
+// --- the Scheduler alone, on a synthetic duration table -----------------
+
+/// A stand-in for Farm::drive(): no run_parallel, no threads. Frame f
+/// of a job completes at (f + 1)^2 x kTick virtual seconds — per-frame cost
+/// grows as the fountain fills, so the job runs F^2 x kTick, exactly
+/// proportional to make_trace's F^2 estimate and the backfill calibration
+/// is a true upper bound. Arrivals sit on a whole-second grid: all exact
+/// binary fractions, so arrivals, finishes, vacates (interval-4 checkpoint
+/// frames end on whole seconds) and cancels land on the very same
+/// instants. Cancels come three ways: at submission (make_trace's flag), at
+/// a later arrival instant, and as a cancel winning the launch claim; other
+/// jobs fail at launch.
+struct SchedRun {
+  std::vector<farm::Decision> log;
+  std::size_t vacates = 0;
+  std::size_t backfills = 0;
+  std::size_t aborts = 0;
+  std::size_t tied_instants = 0;  ///< finish/vacate instants that are arrivals
+};
+
+constexpr double kTick = 0.0625;
+
+SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
+                         bool contention, int preempt_interval) {
+  enum class St { kQueued, kRunning, kSuspended, kDone, kCancelled, kFailed };
+  auto trace = make_trace(seed);
+  const std::size_t n = trace.size();
+  Rng rng{seed + 0x5EED};
+  std::vector<double> cancel_at(n, 1e300);
+  std::vector<bool> race(n, false), fail(n, false);
+  std::set<double> arrivals;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& spec = trace[i].spec;
+    spec.submit_time_s = 16.0 * kTick * rng.below(10);
+    arrivals.insert(spec.submit_time_s);
+    if (trace[i].cancel) cancel_at[i] = 0.0;
+    const auto roll = rng.below(8);
+    if (roll == 0) cancel_at[i] = spec.submit_time_s + 1.0;
+    race[i] = roll == 1;
+    fail[i] = roll == 2;
+  }
+  FarmOptions opts = prop_opts(cfg);
+  opts.max_preemptions_per_job = 1;
+  opts.preempt_interval = preempt_interval;
+  if (!contention) opts.cost.smp_contention = 1.0;
+  const auto cluster = prop_cluster();
+  farm::Scheduler s(cluster, opts);
+  for (const auto& tj : trace) s.submit(tj.spec);
+
+  SchedRun out;
+  std::vector<St> st(n, St::kQueued);
+  std::vector<int> vacated(n, 0);
+  std::vector<double> first_start(n, -1.0);
+  std::map<int, double> reserved_at;  // first pin per job, as JobResult
+  std::set<int> cancelled;
+  const auto idx = [](int seq) { return static_cast<std::size_t>(seq); };
+  const auto ledger_ok = [&] {
+    for (const int f : s.free_slots()) EXPECT_GE(f, 0);
+  };
+  for (int guard = 0; guard < 10000; ++guard) {
+    s.arrive();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (st[i] == St::kQueued && cancel_at[i] <= s.now()) {
+        st[i] = St::kCancelled;
+        cancelled.insert(static_cast<int>(i));
+      }
+    }
+    const std::vector<int> queue = s.queue();
+    for (const int seq : queue) {
+      if (st[idx(seq)] == St::kCancelled) s.cancel(seq);
+    }
+    const auto pass = s.schedule();
+    ledger_ok();
+    for (const auto& d : pass) {
+      out.log.push_back(d);
+      if (d.kind == farm::Decision::Kind::kVictim) {
+        EXPECT_GT(s.rank(d.seq), s.rank(d.blocked));
+        EXPECT_LT(vacated[idx(d.seq)], opts.max_preemptions_per_job);
+        if (cfg.policy == Policy::kPriority) {
+          EXPECT_LT(trace[idx(d.seq)].spec.priority,
+                    trace[idx(d.blocked)].spec.priority);
+        }
+      } else if (d.kind == farm::Decision::Kind::kReserve) {
+        reserved_at.emplace(d.seq, d.at);
+      } else if (d.kind == farm::Decision::Kind::kBackfill) {
+        ++out.backfills;
+      } else if (d.kind == farm::Decision::Kind::kLaunch) {
+        EXPECT_EQ(cancelled.count(d.seq), 0u) << "a cancelled job launched";
+      }
+    }
+    // Claim every launch; aborts go first, as Farm::drive() does.
+    const std::vector<farm::Segment> batch = s.batch();
+    std::vector<bool> ran(batch.size(), false);
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      const auto i = idx(batch[b].seq);
+      if (race[i] && st[i] == St::kQueued) {
+        st[i] = St::kCancelled;  // the cancel wins the claim
+        cancelled.insert(batch[b].seq);
+      }
+      const St expect = batch[b].restore ? St::kSuspended : St::kQueued;
+      if (st[i] != expect || (fail[i] && !batch[b].restore)) {
+        if (st[i] == expect) st[i] = St::kFailed;
+        s.abort_launch(batch[b].seq);
+        ++out.aborts;
+        ledger_ok();
+        continue;
+      }
+      ran[b] = true;
+      st[i] = St::kRunning;
+      if (first_start[i] < 0.0) first_start[i] = s.now();
+    }
+    bool aborted = false;
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      if (!ran[b]) {
+        aborted = true;
+        continue;
+      }
+      const std::uint32_t frames =
+          trace[idx(batch[b].seq)].spec.settings.frames;
+      std::vector<std::pair<std::uint32_t, double>> timeline;
+      for (std::uint32_t f = 0; f < frames; ++f) {
+        timeline.emplace_back(f, (f + 1) * (f + 1) * kTick);
+      }
+      const std::uint32_t done = batch[b].resume ? *batch[b].resume + 1 : 0;
+      s.launched(batch[b].seq, (frames * frames - done * done) * kTick,
+                 std::move(timeline));
+    }
+    if (aborted) continue;  // re-run the pass at this instant
+    if (s.idle()) break;
+    const auto events = s.advance();
+    ledger_ok();
+    for (const auto& d : events) {
+      out.log.push_back(d);
+      if (arrivals.count(d.at) != 0) ++out.tied_instants;
+      if (d.kind == farm::Decision::Kind::kVacate) {
+        st[idx(d.seq)] = St::kSuspended;
+        ++vacated[idx(d.seq)];
+        ++out.vacates;
+      } else {
+        st[idx(d.seq)] = St::kDone;
+      }
+    }
+  }
+
+  // No stranded job: everything ends done, cancelled or failed.
+  EXPECT_TRUE(s.idle());
+  EXPECT_TRUE(s.queue().empty());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(st[i] == St::kDone || st[i] == St::kCancelled ||
+                st[i] == St::kFailed)
+        << trace[i].spec.name;
+  }
+  for (std::size_t k = 0; k < cluster.node_count(); ++k) {
+    EXPECT_LE(s.usage()[k].peak_ranks, cluster.nodes[k].cpus);
+  }
+  // The reserved head never starts after its pinned reservation: nothing
+  // outranks a top-priority job, so its promise must hold.
+  if (cfg.policy == Policy::kPriority && cfg.easy_backfill) {
+    int top = 0;
+    for (const auto& tj : trace) top = std::max(top, tj.spec.priority);
+    for (const auto& [seq, at] : reserved_at) {
+      const auto i = idx(seq);
+      if (trace[i].spec.priority == top && st[i] == St::kDone) {
+        EXPECT_LE(first_start[i], at + 1e-9) << trace[i].spec.name;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FarmSchedulerProps, HoldsInvariantsOnSyntheticTracesWithExactTies) {
+  std::size_t vacates = 0, backfills = 0, aborts = 0, ties = 0;
+  for (const auto policy : {Policy::kFifo, Policy::kSjf, Policy::kPriority,
+                            Policy::kFairShare}) {
+    for (const bool easy : {false, true}) {
+      for (const auto victim : {VictimSelection::kLeastDeserving,
+                                VictimSelection::kCostAware}) {
+        for (const bool contention : {false, true}) {
+          // Interval 64 leaves no checkpoint before the last frame: no
+          // victims, so only the backfill rule protects a reservation.
+          for (const int interval : {4, 64}) {
+            const SchedConfig cfg{.policy = policy,
+                                  .easy_backfill = easy,
+                                  .victim = victim,
+                                  .half_life_s = 3.0};
+            for (std::uint64_t seed = 0; seed < 40; ++seed) {
+              SCOPED_TRACE(to_string(policy) +
+                           (easy ? " easy " : " strict ") +
+                           to_string(victim) +
+                           (contention ? " smp" : " flat") + " interval " +
+                           std::to_string(interval) + " seed " +
+                           std::to_string(seed));
+              const SchedRun a =
+                  drive_scheduler(seed, cfg, contention, interval);
+              EXPECT_EQ(a.log,
+                        drive_scheduler(seed, cfg, contention, interval).log);
+              vacates += a.vacates;
+              backfills += a.backfills;
+              aborts += a.aborts;
+              ties += a.tied_instants;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercised every path it claims to, exact ties included.
+  EXPECT_GT(vacates, 0u);
+  EXPECT_GT(backfills, 0u);
+  EXPECT_GT(aborts, 0u);
+  EXPECT_GT(ties, 0u);
 }
 
 // --- directed: EASY backfill --------------------------------------------

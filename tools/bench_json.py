@@ -36,7 +36,7 @@ psanim-bench-pr8-farm-v1 (bench/farm_throughput --out):
     asserts, re-checked from the artifact).
 
 psanim-bench-pr10-farm-v1 (bench/farm_arrivals --out):
-  - every leg (fifo, priority, priority_rerun, fair_share, backfill,
+  - every leg (fifo, priority, priority_rerun, backfill,
     backfill_costaware, backfill_costaware_rerun) drained the whole job
     stream with zero failures, sane SLO percentiles overall and per
     tenant; every leg actually sampled both tenants (a leg with zero
@@ -48,7 +48,6 @@ psanim-bench-pr10-farm-v1 (bench/farm_arrivals --out):
     strictly below its FIFO p99 wait;
   - the priority and priority_rerun legs match field-for-field as literal
     JSON strings (the preemptive DES is deterministic);
-  - fair_share delivered nonzero rank-seconds to both tenants;
   - the backfill leg's makespan stretch over FIFO sits at or below 1.3x
     (EASY backfill repairs the ~2.6x cost of strict head-of-line
     reservation), with the FIFO makespan guarded nonzero so the ratio is
@@ -492,29 +491,19 @@ def _check_headline_interactive(legs):
         ok(f"interactive p99 wait: priority {prio_i} < fifo {fifo_i}")
 
 
-def _check_fair_share_service(legs):
-    ranks = legs["fair_share"].get("tenant_rank_s", {})
-    for tenant in ("interactive", "batch"):
-        if float(ranks.get(tenant, "0")) <= 0.0:
-            fail(f"fair_share: tenant {tenant} received no service "
-                 f"(tenant_rank_s missing or zero)")
-
-
 def check_pr10_farm(doc):
-    required = ("fifo", "priority", "priority_rerun", "fair_share",
-                "backfill", "backfill_costaware", "backfill_costaware_rerun")
+    required = ("fifo", "priority", "priority_rerun", "backfill",
+                "backfill_costaware", "backfill_costaware_rerun")
     legs = _check_arrival_legs(doc, required)
     if legs is None:
         return
     _check_preemption_and_rerun(
         legs,
-        preemptive=("priority", "fair_share", "backfill",
-                    "backfill_costaware"),
+        preemptive=("priority", "backfill", "backfill_costaware"),
         rerun_pairs=[("priority", "priority_rerun", ()),
                      ("backfill_costaware", "backfill_costaware_rerun",
                       ("jobs_backfilled",))])
     _check_headline_interactive(legs)
-    _check_fair_share_service(legs)
 
     # Backfill actually ran where it should, and only there.
     for name in ("backfill", "backfill_costaware"):
@@ -524,7 +513,7 @@ def check_pr10_farm(doc):
         else:
             ok(f"leg {name}: {legs[name]['jobs_backfilled']} job(s) "
                f"backfilled")
-    for name in ("fifo", "priority", "fair_share"):
+    for name in ("fifo", "priority"):
         if int(legs[name].get("jobs_backfilled", -1)) != 0:
             fail(f"leg {name}: a non-backfilling leg reported backfills")
 

@@ -58,7 +58,6 @@ def pr10_doc():
             "fifo": leg(4.0, interactive_p99=1.2),
             "priority": prio,
             "priority_rerun": copy.deepcopy(prio),
-            "fair_share": leg(10.4, preempted=19, events=22),
             "backfill": leg(5.0, preempted=18, events=22, backfilled=2,
                             interactive_p99=0.01),
             "backfill_costaware": bfc,
