@@ -85,7 +85,9 @@ ClothRunResult run_cloth_parallel(const ClothMesh& initial, int steps,
     throw std::invalid_argument(
         "run_cloth_parallel: placement must cover exactly the calculators");
   }
-  mp::Runtime rt(ncalc, cluster::make_link_cost_fn(spec, placement, cost));
+  const platform::Platform plat = cluster::make_platform(spec, spec.platform);
+  mp::Runtime rt(ncalc,
+                 cluster::make_link_cost_fn(spec, placement, cost, plat));
   const auto rates = cluster::rank_rates(spec, placement, cost.smp_contention);
 
   // Rank 0 assembles the final mesh here after the gather.

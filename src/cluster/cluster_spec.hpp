@@ -37,10 +37,10 @@ struct ClusterSpec {
   std::vector<NodeType> nodes;
   net::Interconnect preferred = net::Interconnect::kFastEthernet;
   Compiler compiler = Compiler::kGcc;
-  /// Topology platform description (platform::parse form: a preset name,
-  /// DSL, or JSON). Empty or "flat" keeps the legacy per-pair alpha-beta
-  /// model — no zone tree, no shared-link contention, bit-identical to
-  /// pre-platform behavior.
+  /// Topology platform description (platform::parse form: a preset name
+  /// or DSL). Empty or "flat" selects the flat zone built from the nodes'
+  /// NICs and `preferred` — the paper's per-pair alpha-beta network, with
+  /// no shared link and so no contention (see cluster::make_platform).
   std::string platform;
 
   std::size_t node_count() const { return nodes.size(); }

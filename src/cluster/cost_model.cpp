@@ -1,6 +1,9 @@
 #include "cluster/cost_model.hpp"
 
 #include <cmath>
+#include <utility>
+
+#include "platform/parse.hpp"
 
 namespace psanim::cluster {
 
@@ -34,33 +37,16 @@ double CostModel::sort_s(std::size_t n, double rate) const {
   return sort_cost * dn * std::log2(dn) / rate;
 }
 
-mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
-                                 const Placement& placement,
-                                 const CostModel& cost) {
-  // Capture everything by value: the returned closure outlives its inputs.
-  const auto rates = rank_rates(spec, placement, cost.smp_contention);
-  const auto node_of = placement.node_of_rank;
+platform::Platform make_platform(const ClusterSpec& spec,
+                                 const std::string& desc) {
+  const std::string& named = platform::is_flat(desc) ? spec.platform : desc;
+  if (!platform::is_flat(named)) {
+    return platform::parse(named, spec.node_count());
+  }
   std::vector<net::NicSet> nics;
   nics.reserve(spec.node_count());
   for (const auto& n : spec.nodes) nics.push_back(n.nics);
-  const auto preferred = spec.preferred;
-  const CostModel cm = cost;
-
-  return [rates, node_of, nics, preferred, cm](
-             int src, int dst, std::size_t bytes) -> mp::MsgCost {
-    const auto sn = static_cast<std::size_t>(node_of.at(static_cast<std::size_t>(src)));
-    const auto dn = static_cast<std::size_t>(node_of.at(static_cast<std::size_t>(dst)));
-    const auto link =
-        net::resolve_link(nics[sn], nics[dn], sn == dn, preferred);
-    const double host =
-        cm.host_overhead_s(link.kind) +
-        static_cast<double>(bytes) / cm.host_bandwidth_bps(link.kind);
-    return mp::MsgCost{
-        .send_cpu_s = host / rates.at(static_cast<std::size_t>(src)),
-        .wire_s = link.cost_s(bytes),
-        .recv_cpu_s = host / rates.at(static_cast<std::size_t>(dst)),
-    };
-  };
+  return platform::Platform::flat(std::move(nics), spec.preferred);
 }
 
 mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,

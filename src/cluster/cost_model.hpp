@@ -10,6 +10,7 @@
 // shapes depend only on their ratios to the network costs.
 
 #include <cstddef>
+#include <string>
 
 #include "cluster/placement.hpp"
 #include "mp/communicator.hpp"
@@ -61,19 +62,20 @@ struct CostModel {
   double sort_s(std::size_t n, double rate) const;
 };
 
-/// Build the message-cost function the mp runtime uses: wire time from the
-/// resolved link between the two ranks' nodes, host CPU overheads scaled
-/// by each rank's effective rate.
-mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
-                                 const Placement& placement,
-                                 const CostModel& cost);
+/// The platform a run on `spec` prices messages over: `desc`
+/// (platform::parse form) when it names a topology, else the spec's own
+/// `platform`, else the flat zone of the spec's NICs and preferred
+/// interconnect — the paper's per-pair network.
+platform::Platform make_platform(const ClusterSpec& spec,
+                                 const std::string& desc);
 
-/// Topology-aware variant: wire time comes from the platform's route
-/// (additive latency, bottleneck bandwidth) instead of one resolved link,
-/// and host CPU overheads are charged by each endpoint's host-link kind.
-/// Same-node traffic stays loopback. `platform` is captured by pointer
-/// and must outlive the returned closure; shared-link *contention* is the
-/// Fabric's job, not the cost function's.
+/// Build the message-cost function the mp runtime uses: wire time over the
+/// platform's route between the two ranks' nodes (additive latency,
+/// bottleneck bandwidth), host CPU overheads charged by each endpoint's
+/// host-link kind and scaled by each rank's effective rate. Same-node
+/// traffic is loopback. `platform` is captured by pointer and must outlive
+/// the returned closure; shared-link *contention* is the Fabric's job, not
+/// the cost function's.
 mp::LinkCostFn make_link_cost_fn(const ClusterSpec& spec,
                                  const Placement& placement,
                                  const CostModel& cost,

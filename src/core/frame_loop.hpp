@@ -155,9 +155,10 @@ struct SimSettings {
   /// Observability: span tracing, metrics, flight recorder (psanim::obs).
   ObsSettings obs;
   /// Topology platform selecting wire costs and shared-link contention
-  /// (platform::parse form: preset name, DSL, or JSON). Empty or "flat"
-  /// keeps the legacy per-pair alpha-beta model bit-identically. When both
-  /// this and the cluster spec's platform are set, this one wins.
+  /// (platform::parse form: preset name or DSL). When both this and the
+  /// cluster spec's platform are set, this one wins; empty or "flat" in
+  /// both selects the flat zone, the paper's per-pair network (see
+  /// cluster::make_platform).
   std::string platform;
 
   /// Reject nonsensical settings (non-positive frame counts, negative

@@ -13,7 +13,6 @@
 #include "obs/analysis.hpp"
 #include "obs/trace.hpp"
 #include "platform/fabric.hpp"
-#include "platform/parse.hpp"
 #include "psys/store.hpp"
 #include "render/objects.hpp"
 #include "render/splat.hpp"
@@ -165,22 +164,18 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
     rt_options.fault = injector.get();
   }
 
-  // Topology platform: the settings' description wins over the spec's.
-  // Flat (the default) keeps the legacy per-pair cost function and no
-  // contention hook — bit-identical to pre-platform behavior.
-  const std::string& plat_desc =
-      !platform::is_flat(eff.platform) ? eff.platform : spec.platform;
-  std::unique_ptr<platform::Platform> plat;
+  // Topology platform: the settings' description wins over the spec's;
+  // with neither, the flat zone of the spec's NICs (the paper's network).
+  // Only a platform with a shared link gets a contention fabric.
+  const platform::Platform plat = cluster::make_platform(spec, eff.platform);
   std::unique_ptr<platform::Fabric> fabric;
-  if (!platform::is_flat(plat_desc)) {
-    plat = std::make_unique<platform::Platform>(
-        platform::parse(plat_desc, spec.node_count()));
+  if (plat.has_shared_link()) {
     std::vector<std::size_t> node_of(static_cast<std::size_t>(world));
     for (int r = 0; r < world; ++r) {
       node_of[static_cast<std::size_t>(r)] = static_cast<std::size_t>(
           placement.node_of_rank.at(static_cast<std::size_t>(r)));
     }
-    fabric = std::make_unique<platform::Fabric>(*plat, std::move(node_of));
+    fabric = std::make_unique<platform::Fabric>(plat, std::move(node_of));
     rt_options.contention = fabric.get();
   }
 
@@ -192,9 +187,7 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
   const mp::BufferPool::Stats pool_before = mp::BufferPool::global().stats();
 
   mp::Runtime runtime(
-      world,
-      plat ? cluster::make_link_cost_fn(spec, placement, cost, *plat)
-           : cluster::make_link_cost_fn(spec, placement, cost),
+      world, cluster::make_link_cost_fn(spec, placement, cost, plat),
       rt_options);
 
   // Per-rank output slots; each thread writes only its own index.
@@ -207,12 +200,10 @@ ParallelResult run_parallel(const Scene& scene, const SimSettings& settings,
   const auto procs = runtime.run([&](mp::Endpoint& ep) {
     // This rank's checkpoint storage: the platform's node disk when it
     // charges anything, else whatever the checkpoint policy configured.
-    platform::DiskModel disk = eff.ckpt.disk;
-    if (plat) {
-      const auto node = static_cast<std::size_t>(
-          placement.node_of_rank.at(static_cast<std::size_t>(ep.rank())));
-      if (!plat->disk_of(node).free()) disk = plat->disk_of(node);
-    }
+    const platform::DiskModel& node_disk = plat.disk_of(
+        static_cast<std::size_t>(placement.node_of(ep.rank())));
+    const platform::DiskModel disk =
+        node_disk.free() ? eff.ckpt.disk : node_disk;
     const RoleEnv env{&cost, rates.at(static_cast<std::size_t>(ep.rank())),
                       trace ? &trace->metrics(ep.rank()) : nullptr, disk};
     if (ep.rank() == kManagerRank) {

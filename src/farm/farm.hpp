@@ -101,7 +101,7 @@ struct FarmOptions {
   /// runs on unless a job selects its own. Written into the job's
   /// effective settings before launch, so standalone_run on the recorded
   /// assignment still reproduces the job bit-for-bit only when given the
-  /// same settings. Empty = legacy flat model.
+  /// same settings. Empty = the spec's own platform, else the flat zone.
   std::string platform;
   /// Fiber scheduler workers per concurrently-launched job. <= 0 splits
   /// the hardware budget evenly across the wall-clock batch (at least one

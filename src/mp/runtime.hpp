@@ -74,7 +74,8 @@ struct RuntimeOptions {
   /// Null means no per-message observability.
   TraceHook* trace = nullptr;
   /// Optional shared-link contention hook (not owned; must outlive the
-  /// runtime). Null means contention-free links — the flat model.
+  /// runtime). Null means contention-free links, as on a platform with
+  /// no shared link (the flat zone).
   ContentionHook* contention = nullptr;
   /// Execution core; see ExecMode.
   ExecMode exec_mode = ExecMode::kDefault;

@@ -1,8 +1,6 @@
 #include "platform/parse.hpp"
 
-#include <cctype>
 #include <cstdlib>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -148,13 +146,11 @@ Platform parse_dsl_topo(const std::string& kind, const std::string& body,
                         std::size_t nodes) {
   const KvList kvs = split_kv(body, kind);
   Link host = link_from(net::Interconnect::kFastEthernet);
-  bool host_touched = false;
   auto common = [&](const std::string& k, const std::string& v) {
     if (k == "link") { host = link_from(interconnect_from(v)); }
     else if (k == "bw") { host.bandwidth_bps = to_double(k, v); }
     else if (k == "latency") { host.latency_s = to_double(k, v); }
     else return false;
-    host_touched = true;
     return true;
   };
 
@@ -237,209 +233,11 @@ Platform parse_dsl_topo(const std::string& kind, const std::string& body,
       sites.push_back(Platform::crossbar(take, host));
       left -= take;
     }
-    Platform p = Platform::wan(std::move(sites), wan);
-    (void)host_touched;
-    return p;
+    return Platform::wan(std::move(sites), wan);
   }
   fail("unknown topology kind '" + kind +
        "' (expected crossbar, fattree, dragonfly or wan; presets: " +
        preset_list() + ")");
-}
-
-// --------------------------------------------------------- JSON subset
-
-// Minimal recursive-descent parser for the JSON Platform::describe()
-// emits (objects, arrays, strings without escapes, numbers, booleans).
-struct Json {
-  enum class Type { kNull, kBool, kNum, kStr, kArr, kObj };
-  Type type = Type::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
-
-  const Json& at(const std::string& key) const {
-    const auto it = obj.find(key);
-    if (it == obj.end()) fail("JSON description missing key '" + key + "'");
-    return it->second;
-  }
-  const Json* find(const std::string& key) const {
-    const auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  double as_num(const std::string& key) const {
-    const Json& j = at(key);
-    if (j.type != Type::kNum) fail("JSON key '" + key + "' is not a number");
-    return j.num;
-  }
-  const std::string& as_str(const std::string& key) const {
-    const Json& j = at(key);
-    if (j.type != Type::kStr) fail("JSON key '" + key + "' is not a string");
-    return j.str;
-  }
-};
-
-struct JsonParser {
-  const std::string& s;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
-  }
-  char peek() {
-    skip_ws();
-    if (pos >= s.size()) fail("JSON description ends unexpectedly");
-    return s[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("JSON: expected '") + c + "' at offset " +
-           std::to_string(pos) + ", got '" + s[pos] + "'");
-    }
-    ++pos;
-  }
-
-  Json parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == 't' || c == 'f') return parse_bool();
-    return parse_number();
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json j;
-    j.type = Json::Type::kObj;
-    if (peek() == '}') { ++pos; return j; }
-    for (;;) {
-      Json key = parse_string();
-      expect(':');
-      j.obj.emplace(std::move(key.str), parse_value());
-      if (peek() == ',') { ++pos; continue; }
-      expect('}');
-      return j;
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json j;
-    j.type = Json::Type::kArr;
-    if (peek() == ']') { ++pos; return j; }
-    for (;;) {
-      j.arr.push_back(parse_value());
-      if (peek() == ',') { ++pos; continue; }
-      expect(']');
-      return j;
-    }
-  }
-
-  Json parse_string() {
-    expect('"');
-    Json j;
-    j.type = Json::Type::kStr;
-    while (pos < s.size() && s[pos] != '"') {
-      if (s[pos] == '\\') fail("JSON: string escapes are not supported");
-      j.str += s[pos++];
-    }
-    if (pos >= s.size()) fail("JSON: unterminated string");
-    ++pos;
-    return j;
-  }
-
-  Json parse_bool() {
-    Json j;
-    j.type = Json::Type::kBool;
-    if (s.compare(pos, 4, "true") == 0) { j.b = true; pos += 4; return j; }
-    if (s.compare(pos, 5, "false") == 0) { j.b = false; pos += 5; return j; }
-    fail("JSON: bad literal at offset " + std::to_string(pos));
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) || s[pos] == '-' ||
-            s[pos] == '+' || s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E')) {
-      ++pos;
-    }
-    if (pos == start) fail("JSON: bad value at offset " + std::to_string(pos));
-    Json j;
-    j.type = Json::Type::kNum;
-    j.num = to_double("number", s.substr(start, pos - start));
-    return j;
-  }
-};
-
-Link json_link(const Json& j) {
-  Link l;
-  l.kind = interconnect_from(j.as_str("kind"));
-  l.latency_s = j.as_num("latency_s");
-  l.bandwidth_bps = j.as_num("bandwidth_bps");
-  if (const Json* sh = j.find("shared")) {
-    if (sh->type != Json::Type::kBool) fail("JSON key 'shared' is not a bool");
-    l.shared = sh->b;
-  }
-  return l;
-}
-
-Platform json_leaf(const Json& z) {
-  const std::string& kind = z.as_str("kind");
-  const auto n = static_cast<std::size_t>(z.as_num("nodes"));
-  const Link host = json_link(z.at("link"));
-  if (kind == "crossbar") {
-    return Platform::crossbar(n, host, z.as_num("backplane_bps"));
-  }
-  if (kind == "fattree") {
-    return Platform::fat_tree(
-        n, static_cast<std::size_t>(z.as_num("hosts_per_edge")),
-        static_cast<std::size_t>(z.as_num("uplinks")), host,
-        json_link(z.at("uplink")));
-  }
-  if (kind == "dragonfly") {
-    return Platform::dragonfly(
-        n, static_cast<std::size_t>(z.as_num("groups")),
-        static_cast<std::size_t>(z.as_num("routers")),
-        static_cast<std::size_t>(z.as_num("hosts_per_router")), host,
-        json_link(z.at("local")), json_link(z.at("global")));
-  }
-  fail("JSON zone kind '" + kind + "' is not a leaf topology");
-}
-
-Platform parse_json(const std::string& desc) {
-  JsonParser p{desc};
-  const Json root = p.parse_value();
-  p.skip_ws();
-  if (p.pos != desc.size()) {
-    fail("JSON: trailing characters after description");
-  }
-  if (root.type != Json::Type::kObj) fail("JSON description must be an object");
-  const Json& zone = root.at("zone");
-  Platform out;
-  if (zone.as_str("kind") == "wan") {
-    const Link uplink = json_link(zone.at("uplink"));
-    const Json& sites = zone.at("sites");
-    if (sites.type != Json::Type::kArr || sites.arr.empty()) {
-      fail("JSON wan zone needs a non-empty 'sites' array");
-    }
-    std::vector<Platform> leaves;
-    for (const Json& site : sites.arr) leaves.push_back(json_leaf(site));
-    out = Platform::wan(std::move(leaves), uplink);
-  } else {
-    out = json_leaf(zone);
-  }
-  out.name = root.as_str("name");
-  if (const Json* d = root.find("disk")) {
-    out.disk.read_bps = d->as_num("read_bps");
-    out.disk.write_bps = d->as_num("write_bps");
-    out.disk.seek_s = d->as_num("seek_s");
-  }
-  return out;
 }
 
 }  // namespace
@@ -455,21 +253,9 @@ std::vector<std::string> preset_names() {
 Platform parse(const std::string& desc, std::size_t nodes) {
   if (is_flat(desc)) {
     fail("'" + desc +
-         "' selects the legacy flat model; callers must special-case "
-         "is_flat() before parse()");
+         "' selects the flat zone, which is built from a cluster's NICs "
+         "(Platform::flat), not parsed");
   }
-  std::size_t start = desc.find_first_not_of(" \t\n");
-  if (start == std::string::npos) fail("empty description");
-  if (desc[start] == '{') {
-    Platform p = parse_json(desc);
-    if (nodes > 0 && p.node_count() < nodes) {
-      fail("description '" + p.name + "' holds " +
-           std::to_string(p.node_count()) + " nodes, needs " +
-           std::to_string(nodes));
-    }
-    return p;
-  }
-
   if (nodes == 0) fail("a preset or DSL description needs nodes >= 1");
 
   // Split off an optional ";disk:..." suffix (any segment order).
@@ -500,7 +286,7 @@ Platform parse(const std::string& desc, std::size_t nodes) {
     else if (topo == "dragonfly") p = preset_dragonfly(nodes);
     else if (topo == "wan2") p = preset_wan2(nodes);
     else fail("unknown platform '" + topo + "' (presets: " + preset_list() +
-              "; or a DSL/JSON description — see platform/parse.hpp)");
+              "; or a DSL description — see platform/parse.hpp)");
     if (topo == "fattree-slim") p.name = "fattree-slim";
   } else {
     p = parse_dsl_topo(topo.substr(0, colon), topo.substr(colon + 1), nodes);

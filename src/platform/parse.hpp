@@ -4,7 +4,7 @@
 // specs, SimSettings, the farm, and the benches can all select platforms
 // by name instead of hand-assembling zone trees.
 //
-// Three description forms are accepted:
+// Two description forms are accepted:
 //
 //  1. Named presets, auto-sized to the requested node count — see
 //     preset_names(). E.g. "fattree-slim" for 32 nodes builds edge
@@ -17,11 +17,11 @@
 //       "crossbar:link=gigabit-ethernet;disk:scratch"
 //     The disk segment takes a preset (none|scratch|nfs|pfs<stripes>) or
 //     "read=..,write=..,seek=.." fields.
-//  3. The canonical JSON emitted by Platform::describe() (round-trips).
 //
-// The name "flat" (or the empty string) is special: it selects *no* zone
-// platform — the legacy per-pair alpha-beta model — and is handled by the
-// sim layer, never by parse().
+// The name "flat" (or the empty string) selects the flat zone: the
+// paper's per-pair network, which needs each node's NICs and so is built
+// from a cluster spec (cluster::make_platform → Platform::flat), never by
+// parse().
 
 #include <cstddef>
 #include <string>
@@ -31,19 +31,17 @@
 
 namespace psanim::platform {
 
-/// True when `desc` selects the legacy flat model (empty or "flat"):
-/// no zone tree, no contention, bit-identical to the pre-platform code.
+/// True when `desc` selects the flat zone (empty or "flat"): the paper's
+/// per-pair network, with no shared link and so no contention.
 bool is_flat(const std::string& desc);
 
 /// Built-in preset names (excluding "flat").
 std::vector<std::string> preset_names();
 
-/// Build a platform from `desc` sized for at least `nodes` nodes.
-/// Presets and DSL topologies are auto-sized to exactly `nodes`; a JSON
-/// description carries its own size, which must cover `nodes`. Throws
-/// std::invalid_argument (message prefixed "platform:") for unknown
-/// names, malformed descriptions, or platforms too small — the message
-/// lists the valid presets so a typo is actionable.
+/// Build a platform from `desc`, auto-sized to exactly `nodes` nodes. Throws
+/// std::invalid_argument (message prefixed "platform:") for flat, unknown
+/// names, malformed descriptions, or shapes that cannot hold `nodes` —
+/// the message lists the valid presets so a typo is actionable.
 Platform parse(const std::string& desc, std::size_t nodes);
 
 }  // namespace psanim::platform

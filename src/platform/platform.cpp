@@ -1,25 +1,11 @@
 #include "platform/platform.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
 namespace psanim::platform {
 
 namespace {
-
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string link_json(const Link& l) {
-  return "{\"kind\":\"" + net::to_string(l.kind) +
-         "\",\"latency_s\":" + fmt(l.latency_s) +
-         ",\"bandwidth_bps\":" + fmt(l.bandwidth_bps) +
-         ",\"shared\":" + (l.shared ? "true" : "false") + "}";
-}
 
 /// Unordered-pair index for dragonfly global links, i < j among g groups.
 std::size_t pair_index(std::size_t i, std::size_t j, std::size_t g) {
@@ -31,12 +17,38 @@ std::size_t pair_index(std::size_t i, std::size_t j, std::size_t g) {
 
 std::string to_string(ZoneKind k) {
   switch (k) {
+    case ZoneKind::kFlat: return "flat";
     case ZoneKind::kCrossbar: return "crossbar";
     case ZoneKind::kFatTree: return "fattree";
     case ZoneKind::kDragonfly: return "dragonfly";
     case ZoneKind::kWan: return "wan";
   }
   return "?";
+}
+
+Platform Platform::flat(std::vector<net::NicSet> nics,
+                        net::Interconnect preferred) {
+  Platform p;
+  p.name = "flat";
+  p.root.kind = ZoneKind::kFlat;
+  p.root.nodes = nics.size();
+  p.root.nics = std::move(nics);
+  p.root.preferred = preferred;
+  p.root.kind_links.assign(
+      static_cast<std::size_t>(net::Interconnect::kCustom) + 1, kNoLink);
+  for (const auto ic :
+       {net::Interconnect::kFastEthernet, net::Interconnect::kGigabitEthernet,
+        net::Interconnect::kMyrinet}) {
+    const net::LinkModel m = net::LinkModel::preset(ic);
+    p.root.kind_links[static_cast<std::size_t>(ic)] =
+        static_cast<LinkId>(p.links.size());
+    p.links.push_back(Link{.name = net::to_string(ic),
+                           .kind = ic,
+                           .latency_s = m.latency_s,
+                           .bandwidth_bps = m.bandwidth_bps,
+                           .shared = false});
+  }
+  return p;
 }
 
 Platform Platform::crossbar(std::size_t n, const Link& host,
@@ -155,10 +167,11 @@ Platform Platform::wan(std::vector<Platform> sites, const Link& wan_link) {
   p.root.kind = ZoneKind::kWan;
   for (std::size_t s = 0; s < sites.size(); ++s) {
     Platform& site = sites[s];
-    if (site.root.kind == ZoneKind::kWan) {
+    if (site.root.kind == ZoneKind::kWan ||
+        site.root.kind == ZoneKind::kFlat) {
       throw std::invalid_argument(
-          "platform: wan sites must be leaf zones (crossbar, fattree or "
-          "dragonfly), not nested wan zones");
+          "platform: wan sites must be crossbar, fattree or dragonfly "
+          "zones, not " + to_string(site.root.kind));
     }
     const auto link_offset = static_cast<LinkId>(p.links.size());
     for (auto& l : site.links) {
@@ -177,11 +190,6 @@ Platform Platform::wan(std::vector<Platform> sites, const Link& wan_link) {
     p.links.push_back(std::move(ul));
     p.root.nodes += child.nodes;
     p.root.children.push_back(std::move(child));
-  }
-  // The sites' disks win per node; an explicit platform-level disk can be
-  // set by the caller afterwards.
-  for (const Zone& child : p.root.children) {
-    (void)child;
   }
   return p;
 }
@@ -211,8 +219,9 @@ void egress(const Zone& z, std::size_t a, std::vector<LinkId>& out) {
       if (g != 0) out.push_back(z.global_links[pair_index(0, g, z.groups)]);
       return;
     }
+    case ZoneKind::kFlat:
     case ZoneKind::kWan:
-      throw std::logic_error("platform: nested wan zones are not supported");
+      throw std::logic_error("platform: wan sites must be leaf topologies");
   }
 }
 
@@ -238,8 +247,9 @@ void ingress(const Zone& z, std::size_t b, std::vector<LinkId>& out) {
       out.push_back(z.host_links[lb]);
       return;
     }
+    case ZoneKind::kFlat:
     case ZoneKind::kWan:
-      throw std::logic_error("platform: nested wan zones are not supported");
+      throw std::logic_error("platform: wan sites must be leaf topologies");
   }
 }
 
@@ -248,6 +258,13 @@ void route_leaf(const Zone& z, std::size_t a, std::size_t b,
   const std::size_t la = a - z.first_node;
   const std::size_t lb = b - z.first_node;
   switch (z.kind) {
+    case ZoneKind::kFlat: {
+      const auto ic = net::resolve_link(z.nics[la], z.nics[lb],
+                                        /*same_node=*/false, z.preferred)
+                          .kind;
+      out.push_back(z.kind_links[static_cast<std::size_t>(ic)]);
+      return;
+    }
     case ZoneKind::kCrossbar:
       out.push_back(z.host_links[la]);
       if (z.backplane != kNoLink) out.push_back(z.backplane);
@@ -317,6 +334,13 @@ void Platform::route(std::size_t src, std::size_t dst,
   ingress(*zb, dst, out);
 }
 
+bool Platform::has_shared_link() const {
+  for (const Link& l : links) {
+    if (l.shared) return true;
+  }
+  return false;
+}
+
 Platform::Wire Platform::wire(std::size_t src, std::size_t dst) const {
   Wire w;
   if (src == dst) {
@@ -324,7 +348,8 @@ Platform::Wire Platform::wire(std::size_t src, std::size_t dst) const {
     w.bottleneck_bps = 0.0;
     return w;
   }
-  std::vector<LinkId> r;
+  // Scratch reused across calls; safe because nothing below yields.
+  thread_local std::vector<LinkId> r;
   route(src, dst, r);
   for (const LinkId id : r) {
     const Link& l = link(id);
@@ -334,63 +359,6 @@ Platform::Wire Platform::wire(std::size_t src, std::size_t dst) const {
   w.src_kind = link(r.front()).kind;
   w.dst_kind = link(r.back()).kind;
   return w;
-}
-
-namespace {
-
-std::string leaf_json(const Platform& p, const Zone& z) {
-  std::string out = "{\"kind\":\"" + to_string(z.kind) + "\"";
-  out += ",\"nodes\":" + std::to_string(z.nodes);
-  out += ",\"link\":" + link_json(p.link(z.host_links.at(0)));
-  switch (z.kind) {
-    case ZoneKind::kCrossbar:
-      out += ",\"backplane_bps\":" +
-             fmt(z.backplane != kNoLink ? p.link(z.backplane).bandwidth_bps
-                                        : 0.0);
-      break;
-    case ZoneKind::kFatTree:
-      out += ",\"hosts_per_edge\":" + std::to_string(z.hosts_per_edge);
-      out += ",\"uplinks\":" + std::to_string(z.uplinks);
-      out += ",\"uplink\":" + link_json(p.link(z.up_links.at(0)));
-      break;
-    case ZoneKind::kDragonfly:
-      out += ",\"groups\":" + std::to_string(z.groups);
-      out += ",\"routers\":" + std::to_string(z.routers);
-      out += ",\"hosts_per_router\":" + std::to_string(z.hosts_per_router);
-      out += ",\"local\":" + link_json(p.link(z.up_links.at(0)));
-      out += ",\"global\":" + link_json(p.link(z.global_links.at(0)));
-      break;
-    case ZoneKind::kWan:
-      break;
-  }
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-std::string Platform::describe() const {
-  std::string out = "{\"name\":\"" + name + "\"";
-  if (!disk.free()) {
-    out += ",\"disk\":{\"read_bps\":" + fmt(disk.read_bps) +
-           ",\"write_bps\":" + fmt(disk.write_bps) +
-           ",\"seek_s\":" + fmt(disk.seek_s) + "}";
-  }
-  out += ",\"zone\":";
-  if (root.kind == ZoneKind::kWan) {
-    out += "{\"kind\":\"wan\",\"uplink\":" +
-           link_json(link(root.children.at(0).wan_uplink));
-    out += ",\"sites\":[";
-    for (std::size_t i = 0; i < root.children.size(); ++i) {
-      if (i > 0) out += ",";
-      out += leaf_json(*this, root.children[i]);
-    }
-    out += "]}";
-  } else {
-    out += leaf_json(*this, root);
-  }
-  out += "}";
-  return out;
 }
 
 }  // namespace psanim::platform

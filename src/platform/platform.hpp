@@ -3,25 +3,30 @@
 // Topology-aware platform model (ROADMAP item 3, in the spirit of
 // SimGrid's zone architecture).
 //
-// `psanim::net` models every node pair as a private alpha-beta pipe; that
-// is the fidelity the paper's own analysis uses, but it cannot answer
-// capacity questions — a 512-node farm's frames/sec depends on which
-// *shared* links its traffic funnels through. A `Platform` is a small
-// zone tree: leaf zones lay nodes out under a concrete interconnect
-// topology (cluster crossbar, k-ary fat-tree, dragonfly) and an optional
-// WAN root zone joins leaf sites over uplinks. Routing maps a
-// (src node, dst node) pair to the *ordered list of links traversed*,
-// replacing the flat model's single resolved hop:
+// A `Platform` is a small zone tree that lays nodes out under a concrete
+// interconnect. Routing maps a (src node, dst node) pair to the *ordered
+// list of links traversed*:
 //
+//   flat       the one link both nodes' NICs resolve to
 //   crossbar   host_a -> [backplane] -> host_b
 //   fat-tree   host_a -> edge uplink_a -> edge uplink_b -> host_b
 //   dragonfly  term_a -> local_a -> global(g_a,g_b) -> local_b -> term_b
 //   wan        egress(site_a) -> wan uplink_a -> wan uplink_b -> ingress
 //
+// The flat zone is the paper's own network (§5): every node pair talks
+// over one private alpha-beta link, the interconnect `net::resolve_link`
+// picks from the two nodes' NICs (Myrinet between PIII nodes,
+// Fast-Ethernet to the Itanium workstations). Its links are unshared, so
+// it never contends. The other leaf zones answer capacity questions — a
+// 512-node farm's frames/sec depends on which *shared* links its traffic
+// funnels through — and an optional WAN root zone joins leaf sites over
+// uplinks.
+//
 // A transfer's base wire time over a route is latency-additive and
 // bottleneck-limited (`sum(latency) + bytes / min(bandwidth)` — the
-// store-and-forward pipeline approximation). Shared-link *contention* on
-// top of that lives in fabric.hpp.
+// store-and-forward pipeline approximation; on a one-link route that is
+// exactly the link's alpha-beta cost). Shared-link *contention* on top of
+// that lives in fabric.hpp.
 //
 // Node indices are global across the platform and line up with
 // `cluster::ClusterSpec` node indices; a platform must be built for at
@@ -51,7 +56,13 @@ struct Link {
   bool shared = true;
 };
 
-enum class ZoneKind : std::uint8_t { kCrossbar, kFatTree, kDragonfly, kWan };
+enum class ZoneKind : std::uint8_t {
+  kFlat,
+  kCrossbar,
+  kFatTree,
+  kDragonfly,
+  kWan
+};
 
 std::string to_string(ZoneKind k);
 
@@ -71,11 +82,16 @@ struct Zone {
   std::size_t hosts_per_router = 2;  ///< dragonfly: hosts per router
 
   // --- links owned by this zone (indices into Platform::links) ---
-  std::vector<LinkId> host_links;    ///< one per node (every leaf kind)
+  std::vector<LinkId> host_links;    ///< one per node (all leaves but flat)
   std::vector<LinkId> up_links;      ///< fat-tree edge uplinks / dragonfly locals
   std::vector<LinkId> global_links;  ///< dragonfly inter-group, pair-indexed
   LinkId backplane = kNoLink;        ///< crossbar switch fabric (optional)
   LinkId wan_uplink = kNoLink;       ///< set on children of a kWan root
+
+  // --- flat only: a pair's link is net::resolve_link's pick ---
+  std::vector<net::NicSet> nics;     ///< one per node
+  net::Interconnect preferred = net::Interconnect::kFastEthernet;
+  std::vector<LinkId> kind_links;    ///< indexed by net::Interconnect
 
   std::vector<Zone> children;  ///< kWan only; leaf zones otherwise empty
 
@@ -100,6 +116,8 @@ struct Platform {
   const DiskModel& disk_of(std::size_t node) const {
     return node < node_disks.size() ? node_disks[node] : disk;
   }
+  /// True when some link is shared, i.e. transfers can contend for it.
+  bool has_shared_link() const;
 
   /// Ordered links the pair (src, dst) traverses; empty when src == dst
   /// (same-node traffic is loopback and never touches the fabric).
@@ -121,12 +139,16 @@ struct Platform {
     net::Interconnect src_kind = net::Interconnect::kCustom;
     net::Interconnect dst_kind = net::Interconnect::kCustom;
   };
+  /// Routes into a per-thread scratch vector: steady-state pricing does
+  /// not allocate.
   Wire wire(std::size_t src, std::size_t dst) const;
 
-  /// Canonical JSON description; platform::parse() round-trips it.
-  std::string describe() const;
-
-  // --- builders (parse.cpp layers the text/JSON loader on these) ---
+  // --- builders (parse.cpp layers the text loader on these) ---
+  /// The paper's network: one node per entry of `nics`, every pair of
+  /// distinct nodes on the one unshared link `net::resolve_link` picks
+  /// (`preferred` when both ends have it, else the fastest common NIC).
+  static Platform flat(std::vector<net::NicSet> nics,
+                       net::Interconnect preferred);
   /// `n` hosts on one switch; `backplane_bps > 0` adds a shared fabric
   /// link every pair crosses (models switch capacity), 0 = ideal crossbar.
   static Platform crossbar(std::size_t n, const Link& host,
@@ -144,8 +166,8 @@ struct Platform {
                             std::size_t routers, std::size_t hosts_per_router,
                             const Link& term, const Link& local,
                             const Link& global);
-  /// Root zone joining leaf `sites` over per-site WAN uplinks; global node
-  /// indices run site by site in order.
+  /// Root zone joining leaf `sites` (crossbar, fat-tree or dragonfly) over
+  /// per-site WAN uplinks; global node indices run site by site in order.
   static Platform wan(std::vector<Platform> sites, const Link& wan_link);
 };
 

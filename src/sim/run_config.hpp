@@ -31,7 +31,8 @@ struct RunConfig {
   /// Table 2: Itanium+ICC — "the best performance" combination per table).
   cluster::NodeType baseline_node = cluster::NodeType::e800();
   /// Topology platform description (platform::parse form), forwarded into
-  /// the built spec. Empty/"flat" = legacy per-pair model.
+  /// the built spec. Empty/"flat" = the flat zone, the paper's per-pair
+  /// network.
   std::string platform;
 
   int total_procs() const {

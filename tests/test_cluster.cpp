@@ -151,7 +151,8 @@ TEST(LinkCostFn, LoopbackForColocatedRanks) {
   Placement p;
   p.node_of_rank = {0, 0, 1};
   const CostModel cm;
-  const auto fn = make_link_cost_fn(spec, p, cm);
+  const auto plat = make_platform(spec, spec.platform);
+  const auto fn = make_link_cost_fn(spec, p, cm, plat);
   const auto colocated = fn(0, 1, 1000);
   const auto remote = fn(0, 2, 1000);
   EXPECT_LT(colocated.wire_s, remote.wire_s);
@@ -167,7 +168,8 @@ TEST(LinkCostFn, SlowRankPaysMoreHostOverhead) {
   Placement p;
   p.node_of_rank = {0, 1};
   const CostModel cm;
-  const auto fn = make_link_cost_fn(spec, p, cm);
+  const auto plat = make_platform(spec, spec.platform);
+  const auto fn = make_link_cost_fn(spec, p, cm, plat);
   const auto c = fn(0, 1, 1000);
   // E60 (rate 0.55) pays ~1.8x the E800's CPU overhead on receive.
   EXPECT_NEAR(c.recv_cpu_s / c.send_cpu_s, 1.0 / 0.55, 1e-9);
@@ -182,10 +184,52 @@ TEST(LinkCostFn, ItaniumPairFallsBackToEthernet) {
   Placement p;
   p.node_of_rank = {0, 1};
   const CostModel cm;
-  const auto fn = make_link_cost_fn(spec, p, cm);
+  const auto plat = make_platform(spec, spec.platform);
+  const auto fn = make_link_cost_fn(spec, p, cm, plat);
   // Wire time must reflect Fast-Ethernet, not Myrinet, despite preference.
   const auto c = fn(0, 1, 1 << 20);
   EXPECT_GT(c.wire_s, net::LinkModel::myrinet().cost_s(1 << 20) * 5);
+}
+
+// Pins the paper's per-pair price (§5) on every NIC mix of the 18-node
+// cluster: the wire time of the one link net::resolve_link picks, plus that
+// link kind's host overhead and copy bandwidth over each rank's rate.
+TEST(LinkCostFn, PricesMixedNicPairsByThePaperRule) {
+  const CostModel cm;
+  for (const auto preferred :
+       {net::Interconnect::kMyrinet, net::Interconnect::kGigabitEthernet,
+        net::Interconnect::kFastEthernet}) {
+    const auto spec = ClusterSpec::paper_cluster(preferred, Compiler::kIcc);
+    // Nodes 0-7 are E60, 8-15 E800, 16-17 zx2000; ranks 2 and 3 share an
+    // E800.
+    Placement p;
+    p.node_of_rank = {0, 8, 9, 9, 16, 17};
+    const auto rates = rank_rates(spec, p, cm.smp_contention);
+    const auto plat = make_platform(spec, spec.platform);
+  const auto fn = make_link_cost_fn(spec, p, cm, plat);
+    for (int src = 0; src < p.world_size(); ++src) {
+      for (int dst = 0; dst < p.world_size(); ++dst) {
+        if (src == dst) continue;
+        const auto sn = static_cast<std::size_t>(p.node_of(src));
+        const auto dn = static_cast<std::size_t>(p.node_of(dst));
+        const auto link = net::resolve_link(
+            spec.nodes[sn].nics, spec.nodes[dn].nics, sn == dn, preferred);
+        for (const std::size_t bytes : {std::size_t{0}, std::size_t{1},
+                                        std::size_t{4096},
+                                        std::size_t{1} << 20}) {
+          const double host =
+              cm.host_overhead_s(link.kind) +
+              static_cast<double>(bytes) / cm.host_bandwidth_bps(link.kind);
+          const auto c = fn(src, dst, bytes);
+          EXPECT_EQ(c.wire_s, link.cost_s(bytes)) << src << "->" << dst;
+          EXPECT_EQ(c.send_cpu_s, host / rates[static_cast<std::size_t>(src)])
+              << src << "->" << dst;
+          EXPECT_EQ(c.recv_cpu_s, host / rates[static_cast<std::size_t>(dst)])
+              << src << "->" << dst;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // psanim::platform suite: zone-tree routing per topology, the fabric's
 // deterministic bandwidth-sharing arithmetic (exact doubles), the storage
-// model, the description loader (round-trip + rejection of malformed
+// model, the description loader (presets, DSL, rejection of malformed
 // descriptions), SimSettings validation of dangling platform names — and
 // the integration properties: a zone platform changes makespans but never
 // pixels, topologies separate measurably and deterministically, both
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_spec.hpp"
 #include "core/simulation.hpp"
 #include "core/wire.hpp"
 #include "farm/farm.hpp"
@@ -22,6 +23,7 @@
 #include "platform/fabric.hpp"
 #include "platform/parse.hpp"
 #include "platform/platform.hpp"
+#include "render/compare.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
 
@@ -106,6 +108,29 @@ TEST(PlatformRoute, WanRoutesIntraSiteLocallyAndCrossSiteOverUplinks) {
   EXPECT_EQ(route_names(p, 1, 2),
             (std::vector<std::string>{"site0.host1", "site0.wan", "site1.wan",
                                       "site1.host0"}));
+}
+
+TEST(PlatformRoute, FlatPairsTakeTheOneLinkTheirNicsResolveTo) {
+  const auto piii = cluster::NodeType::e800().nics;
+  const auto itanium = cluster::NodeType::zx2000().nics;
+  const auto myri =
+      Platform::flat({piii, piii, itanium}, net::Interconnect::kMyrinet);
+  ASSERT_EQ(myri.node_count(), 3u);
+  EXPECT_EQ(route_names(myri, 0, 1), (std::vector<std::string>{"myrinet"}));
+  // The Itanium workstations are only on Fast-Ethernet (§5).
+  EXPECT_EQ(route_names(myri, 1, 2),
+            (std::vector<std::string>{"fast-ethernet"}));
+  EXPECT_EQ(route_names(myri, 2, 0),
+            (std::vector<std::string>{"fast-ethernet"}));
+  EXPECT_TRUE(myri.route(1, 1).empty());
+  EXPECT_FALSE(myri.has_shared_link());
+
+  const auto fe =
+      Platform::flat({piii, piii, itanium}, net::Interconnect::kFastEthernet);
+  EXPECT_EQ(route_names(fe, 0, 1), (std::vector<std::string>{"fast-ethernet"}));
+  EXPECT_FALSE(fe.has_shared_link());
+  // Zone topologies share their host links, so they contend.
+  EXPECT_TRUE(Platform::crossbar(2, link(1e-4, 1e8)).has_shared_link());
 }
 
 TEST(PlatformRoute, RejectsNodesOutsideThePlatform) {
@@ -245,21 +270,6 @@ TEST(PlatformParse, DslConfiguresTopologyAndDisk) {
   EXPECT_EQ(w.link(w.root.children[0].wan_uplink).latency_s, 0.05);
 }
 
-TEST(PlatformParse, DescribeRoundTripsForEveryPreset) {
-  for (const auto& name : platform::preset_names()) {
-    const auto p = platform::parse(name, 9);
-    const std::string json = p.describe();
-    const auto q = platform::parse(json, 9);
-    EXPECT_EQ(q.describe(), json) << name;
-    EXPECT_EQ(q.node_count(), p.node_count()) << name;
-  }
-  // A disk survives the round trip too.
-  const auto p = platform::parse("crossbar;disk:nfs", 4);
-  const auto q = platform::parse(p.describe(), 4);
-  EXPECT_EQ(q.disk.read_bps, platform::DiskModel::nfs().read_bps);
-  EXPECT_EQ(q.describe(), p.describe());
-}
-
 TEST(PlatformParse, RejectsMalformedDescriptionsActionably) {
   // A typo'd preset lists the valid names.
   try {
@@ -277,12 +287,6 @@ TEST(PlatformParse, RejectsMalformedDescriptionsActionably) {
                std::invalid_argument);
   EXPECT_THROW((void)platform::parse("wan2", 1), std::invalid_argument);
   EXPECT_THROW((void)platform::parse("wan:sites=9", 4), std::invalid_argument);
-  EXPECT_THROW((void)platform::parse("{\"name\":", 4), std::invalid_argument);
-  EXPECT_THROW((void)platform::parse("{\"name\":\"x\"}", 4),
-               std::invalid_argument);
-  // A JSON platform smaller than the cluster it must host is rejected.
-  const auto small = platform::parse("crossbar", 2).describe();
-  EXPECT_THROW((void)platform::parse(small, 8), std::invalid_argument);
 }
 
 TEST(SimSettingsValidate, RejectsDanglingPlatformNames) {
@@ -392,6 +396,25 @@ TEST(PlatformIntegration, ExecutionCoresAgreeUnderContention) {
     EXPECT_EQ(fibers.procs[r].finish_time, threads.procs[r].finish_time)
         << "rank " << r;
   }
+}
+
+// Pins the flat network on a Table 2 mix (2*B (4P) + 2*C (2P),
+// Fast-Ethernet + ICC): PIII pairs and PIII<->Itanium pairs both price
+// over Fast-Ethernet, colocated calculators over loopback.
+TEST(PlatformIntegration, FlatTable2MixIsPinned) {
+  sim::RunConfig cfg;
+  cfg.groups = {{cluster::NodeType::e800(), 2, 4},
+                {cluster::NodeType::zx2000(), 2, 2}};
+  cfg.network = net::Interconnect::kFastEthernet;
+  cfg.compiler = cluster::Compiler::kIcc;
+  const auto built = sim::build_cluster(cfg);
+  SimSettings settings = small_settings();
+  settings.ncalc = built.ncalc;
+  const auto r = core::run_parallel(small_scene(), settings, built.spec,
+                                    built.placement, {},
+                                    mp::RuntimeOptions{.recv_timeout_s = 15.0});
+  EXPECT_EQ(r.animation_s, 0.028570040214012243);
+  EXPECT_EQ(render::hash_framebuffer(r.final_frame), 13800132951957486457u);
 }
 
 TEST(PlatformIntegration, DiskCostedVaultChargesCheckpointIo) {
