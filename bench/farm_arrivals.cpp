@@ -1,41 +1,31 @@
-// farm_arrivals: preemptive-scheduling stress bench (PR 9, backfill legs
-// PR 10), emitting BENCH_PR10_FARM.json.
+// farm_arrivals: preemptive-scheduling stress bench, writing
+// BENCH_PR10_FARM.json in the bench record format (bench/record.hpp).
 //
 // One heavy-tailed multi-tenant job stream — an "interactive" tenant
 // submitting short high-priority clips into a "batch" tenant's long-job
 // background, open-loop Poisson arrivals plus closed-loop think-delay
 // chains — replayed on the same 8-node shared cluster under FIFO,
-// preemptive priority (PR-9 strict head-of-line reservation), and the
-// PR-10 legs: EASY backfill around the blocked head, and backfill with
-// preemption-cost-aware victim selection. All legs
-// replay the identical stream, so every cross-leg ratio is apples to
-// apples. Versus PR 9 the heavy tail is also *wide* (40f -> world 5,
-// 120f -> world 8): PR 9's uniform 3-rank jobs left EASY nothing to do —
-// a hole every job fits into is never a hole — and its 2.6x "batch
-// makespan stretch" turned out to be SMP-contention work inflation, not
-// reservation idleness. With wide heads the reservation actually strands
-// slots, and the admission decision (cond-1/cond-2 against the DES's own
-// release bounds) is exercised thousands of times per leg. All reported
-// times are farm-virtual, so every number is bit-reproducible; the
-// priority and backfill_costaware legs each run twice and the artifact
-// records both so tools/bench_json.py can assert determinism from the
-// JSON alone.
+// preemptive priority (strict head-of-line reservation), EASY backfill
+// around the blocked head, and backfill with preemption-cost-aware victim
+// selection. All legs replay the identical stream, so every cross-leg
+// ratio is apples to apples. The heavy tail is also *wide* (40f -> world
+// 5, 120f -> world 8): with uniform 3-rank jobs EASY would have nothing to
+// do — a hole every job fits into is never a hole — so wide heads make the
+// reservation actually strand slots, and the admission decision is
+// exercised thousands of times per leg. All reported times are
+// farm-virtual, so every row is bit-reproducible; the priority and
+// backfill_costaware legs each run twice.
 //
-// The gates, asserted here AND re-checked by tools/bench_json.py check:
-//   - preemptive priority cuts the interactive tenant's p99 wait strictly
-//     below FIFO's (the PR-9 headline);
-//   - the backfill leg must hold the batch makespan stretch over FIFO at
-//     <= 1.3x (the PR-9 strict policy paid 2.6x on its stream) while
-//     keeping the interactive p99 wait within 2x of the strict-priority
-//     value, with jobs actually backfilled — strict reservation's
-//     remaining cost shows up in batch queue wait, which backfill cuts;
-//   - preemptive legs evict (preemption_events > 0), every leg drains.
+// The headline gates: preemptive priority cuts the interactive tenant's
+// p99 wait below FIFO's, and backfill holds the batch makespan within 1.3x
+// of FIFO's with the interactive p99 wait within 2x of strict priority's.
+// bench::check_arrivals (bench/gates.hpp) lists the rest; exit 1 on a
+// violation.
 //
-// Usage: farm_arrivals [--full] [--out BENCH_PR10_FARM.json]
+// Usage: farm_arrivals [--full] [--jobs N] [--out BENCH_PR10_FARM.json]
 //   quick (default): a few hundred jobs — the CI/perf-tier scale;
 //   --full: 10k+ jobs, the committed-artifact scale.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/gates.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
@@ -142,10 +133,8 @@ std::vector<JobShape> make_stream(std::size_t jobs, double interarrival_mean) {
 }
 
 farm::JobSpec make_job(const JobShape& shape, std::size_t idx) {
-  sim::ScenarioParams p;
-  p.systems = 1;
-  p.particles_per_system = 40;
-  p.frames = shape.frames;
+  const sim::ScenarioParams p{
+      .systems = 1, .particles_per_system = 40, .frames = shape.frames};
   farm::JobSpec j;
   j.name = "j" + std::to_string(idx);
   j.scene = sim::make_fountain_scene(p);
@@ -161,41 +150,12 @@ farm::JobSpec make_job(const JobShape& shape, std::size_t idx) {
   return j;
 }
 
-struct TenantSlo {
-  double wait_p50 = 0.0, wait_p99 = 0.0;
-  double slowdown_p99 = 0.0;
-  std::size_t jobs = 0;
-};
-
-struct LegOut {
-  double makespan_s = 0.0;
-  std::size_t jobs_done = 0;
-  std::size_t jobs_failed = 0;
-  std::size_t jobs_preempted = 0;
-  std::size_t jobs_backfilled = 0;
-  long preemption_events = 0;
-  long migrations = 0;
-  double wait_p50 = 0.0, wait_p95 = 0.0, wait_p99 = 0.0;
-  double turnaround_p99 = 0.0;
-  double slowdown_p50 = 0.0, slowdown_p99 = 0.0;
-  int queue_depth_peak = 0;
-  std::map<std::string, TenantSlo> tenants;
-  std::map<std::string, double> tenant_rank_s;
-};
-
-struct LegCfg {
-  farm::Policy policy = farm::Policy::kFifo;
-  bool easy_backfill = false;
-  farm::VictimSelection victim = farm::VictimSelection::kLeastDeserving;
-};
-
-LegOut run_leg(const std::vector<JobShape>& stream, const LegCfg& cfg) {
+/// The whole stream under the policy, backfill and victim selection of
+/// `opts`.
+bench::ArrivalLeg run_leg(const std::vector<JobShape>& stream,
+                         farm::FarmOptions opts) {
   cluster::ClusterSpec spec;
   spec.add(cluster::NodeType::generic(1.0, 4), 8);  // 32 slots
-  farm::FarmOptions opts;
-  opts.policy = cfg.policy;
-  opts.easy_backfill = cfg.easy_backfill;
-  opts.victim_selection = cfg.victim;
   opts.recv_timeout_s = 60.0;
   opts.preempt_interval = 4;  // 4-frame clips stay unpreemptible
   opts.keep_results = false;  // 10k framebuffers would not fit
@@ -207,23 +167,12 @@ LegOut run_leg(const std::vector<JobShape>& stream, const LegCfg& cfg) {
   }
   const farm::Report r = f.run();
 
-  LegOut out;
-  out.makespan_s = r.makespan_s;
-  out.jobs_done = r.jobs_done;
+  bench::ArrivalLeg out;
+  out.slo = bench::farm_slo(r);
   out.jobs_failed = r.jobs_failed;
   out.jobs_preempted = r.jobs_preempted;
   out.jobs_backfilled = r.jobs_backfilled;
-  out.wait_p50 = r.wait_q.quantile(0.5);
-  out.wait_p95 = r.wait_q.quantile(0.95);
-  out.wait_p99 = r.wait_q.quantile(0.99);
-  out.turnaround_p99 = r.turnaround_q.quantile(0.99);
-  out.slowdown_p50 = r.slowdown_q.quantile(0.5);
-  out.slowdown_p99 = r.slowdown_q.quantile(0.99);
   out.tenant_rank_s = r.tenant_rank_s;
-  for (const auto& [t, depth] : r.queue_depth) {
-    (void)t;
-    out.queue_depth_peak = std::max(out.queue_depth_peak, depth);
-  }
 
   // Per-tenant SLOs, from the job records. Arrival instants: roots carry
   // theirs in the shape; closed-loop jobs arrive a think delay after the
@@ -248,48 +197,30 @@ LegOut run_leg(const std::vector<JobShape>& stream, const LegCfg& cfg) {
     if (jr.migrated) ++out.migrations;
   }
   for (auto& [tenant, q] : waits) {
-    TenantSlo slo;
-    slo.jobs = q.count();
-    slo.wait_p50 = q.quantile(0.5);
-    slo.wait_p99 = q.quantile(0.99);
-    slo.slowdown_p99 = slows[tenant].quantile(0.99);
-    out.tenants[tenant] = slo;
+    out.tenants[tenant] = {q.count(), q.quantile(0.5), q.quantile(0.99),
+                           slows[tenant].quantile(0.99)};
   }
   return out;
 }
 
-void jleg(std::FILE* f, const char* key, const LegOut& l, const char* suffix) {
-  std::fprintf(
-      f,
-      "    \"%s\": {\"makespan_s\": %.17g, \"jobs_done\": %zu, "
-      "\"jobs_failed\": %zu,\n"
-      "      \"jobs_preempted\": %zu, \"jobs_backfilled\": %zu, "
-      "\"preemption_events\": %ld, \"migrations\": %ld,\n"
-      "      \"wait_p50_s\": %.17g, \"wait_p95_s\": %.17g, \"wait_p99_s\": "
-      "%.17g,\n"
-      "      \"turnaround_p99_s\": %.17g, \"slowdown_p50\": %.17g, "
-      "\"slowdown_p99\": %.17g,\n"
-      "      \"queue_depth_peak\": %d,\n"
-      "      \"tenants\": {",
-      key, l.makespan_s, l.jobs_done, l.jobs_failed, l.jobs_preempted,
-      l.jobs_backfilled, l.preemption_events, l.migrations, l.wait_p50,
-      l.wait_p95, l.wait_p99, l.turnaround_p99, l.slowdown_p50,
-      l.slowdown_p99, l.queue_depth_peak);
-  std::size_t i = 0;
-  for (const auto& [tenant, slo] : l.tenants) {
-    std::fprintf(f,
-                 "\"%s\": {\"jobs\": %zu, \"wait_p50_s\": %.17g, "
-                 "\"wait_p99_s\": %.17g, \"slowdown_p99\": %.17g}%s",
-                 tenant.c_str(), slo.jobs, slo.wait_p50, slo.wait_p99,
-                 slo.slowdown_p99, ++i < l.tenants.size() ? ", " : "");
+void add_rows(bench::Record& rec, const std::string& leg,
+              const bench::ArrivalLeg& l) {
+  bench::add_rows(rec, leg, l.slo);
+  rec.add(leg, "jobs_failed", l.jobs_failed, "count");
+  rec.add(leg, "jobs_preempted", l.jobs_preempted, "count");
+  rec.add(leg, "jobs_backfilled", l.jobs_backfilled, "count");
+  rec.add(leg, "preemption_events", l.preemption_events, "count");
+  rec.add(leg, "migrations", l.migrations, "count");
+  for (const auto& [tenant, t] : l.tenants) {
+    const std::string tleg = leg + "/" + tenant;
+    rec.add(tleg, "jobs", t.jobs, "count");
+    rec.add(tleg, "wait_p50_s", t.wait_p50_s, "s");
+    rec.add(tleg, "wait_p99_s", t.wait_p99_s, "s");
+    rec.add(tleg, "slowdown_p99", t.slowdown_p99, "ratio");
   }
-  std::fprintf(f, "},\n      \"tenant_rank_s\": {");
-  i = 0;
   for (const auto& [tenant, rank_s] : l.tenant_rank_s) {
-    std::fprintf(f, "\"%s\": %.17g%s", tenant.c_str(), rank_s,
-                 ++i < l.tenant_rank_s.size() ? ", " : "");
+    rec.add(leg + "/" + tenant, "tenant_rank_s", rank_s, "s");
   }
-  std::fprintf(f, "}}%s\n", suffix);
 }
 
 }  // namespace
@@ -331,10 +262,8 @@ int main(int argc, char** argv) {
   probe_cluster.add(cluster::NodeType::generic(1.0, 4), 8);
   double rank_s_per_job = 0.0;
   for (const auto& c : classes) {
-    JobShape shape;
-    shape.tenant = "probe";
-    shape.frames = c.frames;
-    shape.ncalc = c.ncalc;
+    const JobShape shape{.tenant = "probe", .frames = c.frames,
+                         .ncalc = c.ncalc};
     const int world = c.ncalc + 2;
     const auto assign =
         farm::assign_slots(probe_cluster, std::vector<int>(8, 4), world);
@@ -354,120 +283,39 @@ int main(int argc, char** argv) {
   std::printf("stream: %zu jobs (%zu interactive, %zu batch)\n",
               stream.size(), n_interactive, stream.size() - n_interactive);
 
-  const LegOut fifo = run_leg(stream, {farm::Policy::kFifo});
-  const LegOut prio = run_leg(stream, {farm::Policy::kPriority});
-  const LegOut prio2 = run_leg(stream, {farm::Policy::kPriority});
-  const LegOut bf =
-      run_leg(stream, {farm::Policy::kPriority, /*easy_backfill=*/true});
-  const LegCfg bfc_cfg{farm::Policy::kPriority, /*easy_backfill=*/true,
-                       farm::VictimSelection::kCostAware};
-  const LegOut bfc = run_leg(stream, bfc_cfg);
-  const LegOut bfc2 = run_leg(stream, bfc_cfg);
-
-  const auto show = [](const char* name, const LegOut& l) {
-    const auto it = l.tenants.find("interactive");
-    std::printf("%-18s makespan=%.3f done=%zu preempted=%zu backfilled=%zu "
-                "events=%ld migrations=%ld | wait p99=%.4f | "
-                "interactive p99=%.4f\n",
-                name, l.makespan_s, l.jobs_done, l.jobs_preempted,
+  farm::FarmOptions fifo, prio, bf, bfc;
+  prio.policy = bf.policy = bfc.policy = farm::Policy::kPriority;
+  bf.easy_backfill = bfc.easy_backfill = true;
+  bfc.victim_selection = farm::VictimSelection::kCostAware;
+  const std::pair<const char*, farm::FarmOptions> legs[] = {
+      {"fifo", fifo}, {"priority", prio}, {"priority_rerun", prio},
+      {"backfill", bf}, {"backfill_costaware", bfc},
+      {"backfill_costaware_rerun", bfc}};
+  std::map<std::string, bench::ArrivalLeg> out;
+  bench::Record rec("farm_arrivals");
+  rec.add("stream", "jobs", stream.size(), "count");
+  rec.add("stream", "slots", 32, "count");
+  rec.add("stream", "interarrival_mean_s", interarrival, "s");
+  for (const auto& [name, cfg] : legs) {
+    const bench::ArrivalLeg& l = out[name] = run_leg(stream, cfg);
+    std::printf("%-24s makespan=%.3f done=%zu preempted=%zu backfilled=%zu "
+                "events=%ld migrations=%ld | wait p99=%.4f\n",
+                name, l.slo.makespan_s, l.slo.jobs_done, l.jobs_preempted,
                 l.jobs_backfilled, l.preemption_events, l.migrations,
-                l.wait_p99, it != l.tenants.end() ? it->second.wait_p99 : -1.0);
-  };
-  show("fifo", fifo);
-  show("priority", prio);
-  show("backfill", bf);
-  show("backfill+costaware", bfc);
-
-  // The gates, asserted here AND re-checked from the artifact by
-  // tools/bench_json.py (so a stale JSON cannot hide a regression).
-  int violations = 0;
-  const double fifo_i99 = fifo.tenants.at("interactive").wait_p99;
-  const double prio_i99 = prio.tenants.at("interactive").wait_p99;
-  if (!(prio_i99 < fifo_i99)) {
-    std::fprintf(stderr,
-                 "VIOLATION: priority interactive p99 wait %.17g not below "
-                 "FIFO's %.17g\n",
-                 prio_i99, fifo_i99);
-    ++violations;
-  }
-  if (prio.preemption_events <= 0) {
-    std::fprintf(stderr, "VIOLATION: a preemptive leg never preempted\n");
-    ++violations;
-  }
-  for (const auto* l : {&fifo, &prio, &prio2, &bf, &bfc, &bfc2}) {
-    if (l->jobs_done != stream.size()) {
-      std::fprintf(stderr, "VIOLATION: leg drained %zu of %zu jobs\n",
-                   l->jobs_done, stream.size());
-      ++violations;
+                l.slo.wait_p99_s);
+    for (const auto& [tenant, t] : l.tenants) {
+      std::printf("  %-12s jobs=%zu wait p99=%.4f\n", tenant.c_str(), t.jobs,
+                  t.wait_p99_s);
     }
+    add_rows(rec, name, l);
   }
-  if (prio.makespan_s != prio2.makespan_s ||
-      prio.wait_p99 != prio2.wait_p99 ||
-      prio.preemption_events != prio2.preemption_events) {
-    std::fprintf(stderr, "VIOLATION: priority legs disagree — the DES "
-                         "leaked nondeterminism\n");
-    ++violations;
-  }
-  if (bfc.makespan_s != bfc2.makespan_s || bfc.wait_p99 != bfc2.wait_p99 ||
-      bfc.preemption_events != bfc2.preemption_events ||
-      bfc.jobs_backfilled != bfc2.jobs_backfilled) {
-    std::fprintf(stderr, "VIOLATION: backfill_costaware legs disagree — "
-                         "the backfill pass leaked nondeterminism\n");
-    ++violations;
-  }
-  // The PR-10 headline, gated on the backfill leg: with EASY backfill the
-  // preemptive policy's batch makespan stays within 1.3x of FIFO's (the
-  // PR-9 strict policy paid 2.6x on its stream) without giving back the
-  // interactive-latency win (within 2x of strict priority's p99). The
-  // costaware leg is a measured ablation and only carries the
-  // drain/determinism/backfilled gates.
-  if (!(bf.makespan_s <= 1.3 * fifo.makespan_s)) {
-    std::fprintf(stderr,
-                 "VIOLATION: backfill makespan %.17g exceeds 1.3x FIFO's "
-                 "%.17g (stretch %.2fx)\n",
-                 bf.makespan_s, fifo.makespan_s,
-                 bf.makespan_s / fifo.makespan_s);
-    ++violations;
-  }
-  const double bf_i99 = bf.tenants.at("interactive").wait_p99;
-  if (!(bf_i99 <= 2.0 * prio_i99)) {
-    std::fprintf(stderr,
-                 "VIOLATION: backfill interactive p99 wait %.17g exceeds 2x "
-                 "the strict-priority value %.17g\n",
-                 bf_i99, prio_i99);
-    ++violations;
-  }
-  for (const auto* l : {&bf, &bfc}) {
-    if (l->jobs_backfilled == 0) {
-      std::fprintf(stderr, "VIOLATION: %s never backfilled a job\n",
-                   l == &bf ? "backfill" : "backfill_costaware");
-      ++violations;
-    }
-  }
+  const double fifo_mk = out["fifo"].slo.makespan_s;
   std::printf("batch makespan stretch vs fifo: strict %.2fx -> backfill "
               "%.2fx (costaware %.2fx)\n",
-              prio.makespan_s / fifo.makespan_s,
-              bf.makespan_s / fifo.makespan_s,
-              bfc.makespan_s / fifo.makespan_s);
+              out["priority"].slo.makespan_s / fifo_mk,
+              out["backfill"].slo.makespan_s / fifo_mk,
+              out["backfill_costaware"].slo.makespan_s / fifo_mk);
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 2;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"psanim-bench-pr10-farm-v1\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", full ? "full" : "quick");
-  std::fprintf(f, "  \"jobs\": %zu,\n  \"slots\": 32,\n", stream.size());
-  std::fprintf(f, "  \"interarrival_mean_s\": %.17g,\n", interarrival);
-  std::fprintf(f, "  \"legs\": {\n");
-  jleg(f, "fifo", fifo, ",");
-  jleg(f, "priority", prio, ",");
-  jleg(f, "priority_rerun", prio2, ",");
-  jleg(f, "backfill", bf, ",");
-  jleg(f, "backfill_costaware", bfc, ",");
-  jleg(f, "backfill_costaware_rerun", bfc2, "");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return violations == 0 ? 0 : 1;
+  if (!rec.write(out_path)) return 2;
+  return bench::report(bench::check_arrivals(out, stream.size()));
 }

@@ -1,27 +1,30 @@
 // farm_throughput: FIFO vs SJF over a jobs x nodes sweep on the shared
-// virtual cluster, emitting BENCH_PR8_FARM.json.
+// virtual cluster, writing BENCH_PR8_FARM.json in the bench record format
+// (bench/record.hpp).
 //
 // Every scenario runs the identical job mix under both policies; all
 // reported times are *virtual* (farm DES time), so the numbers are
 // bit-reproducible across hosts and runs. Besides the mean-level columns,
-// every policy row now carries the scheduler SLO distribution from
-// farm::Report — exact-sample p50/p95/p99 of wait, p99 turnaround, p99
-// slowdown, and the peak queue depth — validated by tools/bench_json.py
-// (percentile monotonicity, non-negativity, slowdown >= 1). The headline
-// scenario ("hetero_strand") is the case where queue discipline changes
-// makespan on a heterogeneous cluster: FIFO dispatches the long job
-// immediately — onto the slow node, the only one free — while SJF keeps it
-// queued behind the shorts and it lands on the fast node, cutting the farm
-// makespan. The bench exits non-zero if SJF's makespan exceeds FIFO's
-// there, so CI keeps the scheduling win honest.
+// every policy carries the scheduler SLO distribution from farm::Report —
+// exact-sample p50/p95/p99 of wait, p99 turnaround, p50/p99 slowdown, and
+// the peak queue depth. The headline scenario ("hetero_strand") is the
+// case where queue discipline changes makespan on a heterogeneous cluster:
+// FIFO dispatches the long job immediately — onto the slow node, the only
+// one free — while SJF keeps it queued behind the shorts and it lands on
+// the fast node, cutting the farm makespan.
 //
-// Usage: farm_throughput [--full] [--out BENCH_PR8_FARM.json]
+// Gates: bench::check_sjf (bench/gates.hpp) — sane percentiles, SJF's p99
+// wait within FIFO's makespan and, on hetero_strand and serial_quad, SJF's
+// makespan at most FIFO's; exit 1 on a violation.
+//
+// Usage: farm_throughput [--full] [--verbose] [--out BENCH_PR8_FARM.json]
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/gates.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "farm/farm.hpp"
 #include "farm/job.hpp"
@@ -46,24 +49,10 @@ struct Scenario {
   bool assert_sjf_le_fifo = false;
 };
 
-struct PolicyOut {
-  double makespan_s = 0.0;
-  double total_flow_s = 0.0;
-  double mean_turnaround_s = 0.0;
-  std::size_t jobs_done = 0;
-  std::vector<std::string> completion_order;
-  // Exact-sample SLO percentiles over completed jobs (farm::Report).
-  double wait_p50 = 0.0, wait_p95 = 0.0, wait_p99 = 0.0;
-  double turnaround_p99 = 0.0;
-  double slowdown_p50 = 0.0, slowdown_p99 = 0.0;
-  int queue_depth_peak = 0;
-};
-
 farm::JobSpec make_job(const JobShape& shape, std::size_t scale_particles) {
-  sim::ScenarioParams p;
-  p.systems = 2;
-  p.particles_per_system = scale_particles;
-  p.frames = shape.frames;
+  const sim::ScenarioParams p{.systems = 2,
+                              .particles_per_system = scale_particles,
+                              .frames = shape.frames};
   farm::JobSpec j;
   j.name = shape.name;
   j.scene = shape.scene == "snow" ? sim::make_snow_scene(p)
@@ -76,8 +65,8 @@ farm::JobSpec make_job(const JobShape& shape, std::size_t scale_particles) {
   return j;
 }
 
-PolicyOut run_policy(const Scenario& sc, farm::Policy policy,
-                     std::size_t scale_particles, bool verbose) {
+farm::Report run_policy(const Scenario& sc, farm::Policy policy,
+                        std::size_t scale_particles, bool verbose) {
   farm::FarmOptions opts;
   opts.policy = policy;
   opts.recv_timeout_s = 60.0;
@@ -86,7 +75,7 @@ PolicyOut run_policy(const Scenario& sc, farm::Policy policy,
   for (const auto& shape : sc.jobs) {
     handles.push_back(f.submit(make_job(shape, scale_particles)));
   }
-  const farm::Report r = f.run();
+  farm::Report r = f.run();
   if (verbose) {
     for (auto& h : handles) {
       const auto& jr = h.await();
@@ -101,23 +90,7 @@ PolicyOut run_policy(const Scenario& sc, farm::Policy policy,
       std::printf("\n");
     }
   }
-  PolicyOut out;
-  out.makespan_s = r.makespan_s;
-  out.total_flow_s = r.total_flow_s;
-  out.mean_turnaround_s = r.mean_turnaround_s;
-  out.jobs_done = r.jobs_done;
-  out.completion_order = r.completion_order;
-  out.wait_p50 = r.wait_q.quantile(0.5);
-  out.wait_p95 = r.wait_q.quantile(0.95);
-  out.wait_p99 = r.wait_q.quantile(0.99);
-  out.turnaround_p99 = r.turnaround_q.quantile(0.99);
-  out.slowdown_p50 = r.slowdown_q.quantile(0.5);
-  out.slowdown_p99 = r.slowdown_q.quantile(0.99);
-  for (const auto& [t, depth] : r.queue_depth) {
-    (void)t;
-    if (depth > out.queue_depth_peak) out.queue_depth_peak = depth;
-  }
-  return out;
+  return r;
 }
 
 std::vector<Scenario> make_scenarios() {
@@ -185,32 +158,6 @@ std::vector<Scenario> make_scenarios() {
   return out;
 }
 
-void jstr_list(std::FILE* f, const std::vector<std::string>& v) {
-  std::fprintf(f, "[");
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::fprintf(f, "\"%s\"%s", v[i].c_str(), i + 1 < v.size() ? ", " : "");
-  }
-  std::fprintf(f, "]");
-}
-
-void jpolicy(std::FILE* f, const char* key, const PolicyOut& p,
-             const char* suffix) {
-  std::fprintf(f,
-               "      \"%s\": {\"makespan_s\": %.17g, \"total_flow_s\": "
-               "%.17g, \"mean_turnaround_s\": %.17g, \"jobs_done\": %zu,\n"
-               "        \"wait_p50_s\": %.17g, \"wait_p95_s\": %.17g, "
-               "\"wait_p99_s\": %.17g,\n"
-               "        \"turnaround_p99_s\": %.17g, \"slowdown_p50\": "
-               "%.17g, \"slowdown_p99\": %.17g, \"queue_depth_peak\": %d,\n"
-               "        \"completion_order\": ",
-               key, p.makespan_s, p.total_flow_s, p.mean_turnaround_s,
-               p.jobs_done, p.wait_p50, p.wait_p95, p.wait_p99,
-               p.turnaround_p99, p.slowdown_p50, p.slowdown_p99,
-               p.queue_depth_peak);
-  jstr_list(f, p.completion_order);
-  std::fprintf(f, "}%s\n", suffix);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,22 +173,12 @@ int main(int argc, char** argv) {
   }
   const std::size_t scale_particles = full ? 20'000 : 600;
 
-  const auto scenarios = make_scenarios();
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 2;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"psanim-bench-pr8-farm-v1\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", full ? "full" : "quick");
-  std::fprintf(f, "  \"scenarios\": [\n");
-
-  int violations = 0;
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    const auto& sc = scenarios[s];
-    const PolicyOut fifo =
+  bench::Record rec("farm_throughput");
+  bench::Violations violations;
+  for (const auto& sc : make_scenarios()) {
+    const farm::Report fifo =
         run_policy(sc, farm::Policy::kFifo, scale_particles, verbose);
-    const PolicyOut sjf =
+    const farm::Report sjf =
         run_policy(sc, farm::Policy::kSjf, scale_particles, verbose);
     int slots = 0;
     for (const auto& n : sc.spec.nodes) slots += n.cpus;
@@ -251,33 +188,25 @@ int main(int argc, char** argv) {
                 sc.name.c_str(), sc.spec.node_count(), slots, sc.jobs.size(),
                 fifo.makespan_s, fifo.total_flow_s, sjf.makespan_s,
                 sjf.total_flow_s);
+    bench::check_sjf(violations, sc.name, bench::farm_slo(fifo),
+                     bench::farm_slo(sjf), sc.assert_sjf_le_fifo);
 
-    const bool sjf_le = sjf.makespan_s <= fifo.makespan_s + 1e-12;
-    if (sc.assert_sjf_le_fifo && !sjf_le) {
-      std::fprintf(stderr,
-                   "VIOLATION %s: sjf makespan %.17g > fifo %.17g\n",
-                   sc.name.c_str(), sjf.makespan_s, fifo.makespan_s);
-      ++violations;
+    rec.add(sc.name, "nodes", sc.spec.node_count(), "count");
+    rec.add(sc.name, "slots", slots, "count");
+    rec.add(sc.name, "jobs", sc.jobs.size(), "count");
+    rec.add(sc.name, "sjf_flow_improvement",
+            fifo.total_flow_s > 0.0
+                ? 1.0 - sjf.total_flow_s / fifo.total_flow_s
+                : 0.0,
+            "ratio");
+    for (const auto& [policy, r] : {std::pair{"fifo", &fifo},
+                                    std::pair{"sjf", &sjf}}) {
+      const std::string leg = sc.name + "/" + policy;
+      bench::add_rows(rec, leg, bench::farm_slo(*r));
+      rec.add(leg, "total_flow_s", r->total_flow_s, "s");
+      rec.add(leg, "mean_turnaround_s", r->mean_turnaround_s, "s");
     }
-
-    std::fprintf(f, "    {\"name\": \"%s\", \"nodes\": %zu, \"slots\": %d, "
-                    "\"jobs\": %zu,\n",
-                 sc.name.c_str(), sc.spec.node_count(), slots,
-                 sc.jobs.size());
-    jpolicy(f, "fifo", fifo, ",");
-    jpolicy(f, "sjf", sjf, ",");
-    std::fprintf(f, "      \"sjf_le_fifo_makespan\": %s, "
-                    "\"sjf_makespan_gate\": %s,\n",
-                 sjf_le ? "true" : "false",
-                 sc.assert_sjf_le_fifo ? "true" : "false");
-    std::fprintf(f, "      \"sjf_flow_improvement\": %.17g}%s\n",
-                 fifo.total_flow_s > 0.0
-                     ? 1.0 - sjf.total_flow_s / fifo.total_flow_s
-                     : 0.0,
-                 s + 1 < scenarios.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return violations == 0 ? 0 : 1;
+  if (!rec.write(out_path)) return 2;
+  return bench::report(violations);
 }

@@ -1,6 +1,6 @@
-// Wall-clock benchmark suite (PR 4): measures REAL host time and heap
-// traffic on the hot paths the virtual-time model abstracts away, and
-// emits a machine-checkable BENCH_PR4.json.
+// Wall-clock benchmark suite: measures REAL host time and heap traffic on
+// the hot paths the virtual-time model abstracts away, and writes
+// BENCH_PR4.json in the bench record format (bench/record.hpp).
 //
 // Three sections:
 //   1. kernels  — optimized vs in-process legacy reference implementations
@@ -9,27 +9,29 @@
 //   2. pool_kernel — the encode/send/decode round trip with the buffer
 //      pool enabled vs disabled, counting heap allocations (pool misses).
 //   3. scenes   — reduced table1 snow / table3 fountain runs in pooled and
-//      unpooled variants. Virtual makespans, framebuffer hashes and final
-//      particle counts must be bit-identical across variants: wall-clock
-//      optimizations must never leak into virtual-time results.
+//      unpooled variants.
 //
-// `tools/bench_json.py check BENCH_PR4.json` enforces the invariants.
-// Doubles are printed with %.17g so equal doubles compare equal as strings.
+// Gates (bench/gates.hpp; exit 1 on a violation): each kernel reaches its
+// min_speedup floor, the pool cuts heap allocations at least 2x, and the
+// pooled and unpooled variants of a scene agree on every virtual result.
+// Wall times and pool counters are host_* rows; `tools/bench_json.py check
+// NEW --baseline BENCH_PR4.json` holds the rest to the committed artifact.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/gates.hpp"
 #include "core/simulation.hpp"
 #include "core/wire.hpp"
 #include "math/rng.hpp"
 #include "mp/buffer_pool.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/message.hpp"
+#include "render/compare.hpp"
 #include "sim/run_config.hpp"
 #include "sim/scenario.hpp"
 
@@ -64,7 +66,7 @@ class LegacyMailbox {
  public:
   void push(mp::Message m) { q_.push_back(std::move(m)); }
 
-  mp::Message pop_match(int src, int tag) {
+  mp::Message pop_match(int src, int tag, double /*timeout_s*/) {
     auto best = q_.end();
     for (auto it = q_.begin(); it != q_.end(); ++it) {
       if (src != mp::kAny && it->src != src) continue;
@@ -158,15 +160,6 @@ std::vector<core::RenderVertex> make_verts(std::size_t n) {
   return verts;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // --- results --------------------------------------------------------------
 
 struct KernelResult {
@@ -175,7 +168,7 @@ struct KernelResult {
   int reps = 0;
   double optimized_s = 0.0;
   double legacy_s = 0.0;
-  double min_speedup = 1.0;  ///< hard floor enforced by bench_json.py
+  double min_speedup = 1.0;  ///< floor gated by check_kernel_floor
 };
 
 struct PoolKernelResult {
@@ -189,11 +182,8 @@ struct PoolKernelResult {
 };
 
 struct SceneVariant {
-  bool pooled = false;
   double wall_s = 0.0;
-  double virtual_makespan_s = 0.0;
-  std::uint64_t fb_hash = 0;
-  std::uint64_t final_particles = 0;
+  bench::SceneVirtual virt;
   mp::BufferPool::Stats pool;
 };
 
@@ -223,14 +213,10 @@ KernelResult bench_mailbox(bool wildcard, std::size_t n, int reps) {
     }
   };
 
-  KernelResult kr;
-  kr.name = wildcard ? "mailbox_pop_any" : "mailbox_pop_exact";
-  kr.items = n;
-  kr.reps = reps;
-  kr.min_speedup = 2.0;  // O(1)/O(log) vs O(depth): an order-of-magnitude gap
-
-  kr.optimized_s = best_of(reps, [&] {
-    mp::Mailbox mb;
+  // O(1)/O(log) vs O(depth): an order-of-magnitude gap, so a 2x floor.
+  KernelResult kr{wildcard ? "mailbox_pop_any" : "mailbox_pop_exact", n, reps,
+                  0.0, 0.0, 2.0};
+  const auto drain = [&](auto& mb) {
     fill(mb);
     for (std::size_t i = 0; i < n; ++i) {
       const int src = wildcard ? mp::kAny : static_cast<int>(i % kSrcs);
@@ -238,16 +224,14 @@ KernelResult bench_mailbox(bool wildcard, std::size_t n, int reps) {
           wildcard ? mp::kAny : 200 + static_cast<int>((i / kSrcs) % kTags);
       (void)mb.pop_match(src, tag, 10.0);
     }
+  };
+  kr.optimized_s = best_of(reps, [&] {
+    mp::Mailbox mb;
+    drain(mb);
   });
   kr.legacy_s = best_of(reps, [&] {
     LegacyMailbox mb;
-    fill(mb);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int src = wildcard ? mp::kAny : static_cast<int>(i % kSrcs);
-      const int tag =
-          wildcard ? mp::kAny : 200 + static_cast<int>((i / kSrcs) % kTags);
-      (void)mb.pop_match(src, tag);
-    }
+    drain(mb);
   });
   return kr;
 }
@@ -265,11 +249,8 @@ KernelResult bench_pack(std::size_t n, int reps) {
     }
   }
 
-  KernelResult kr;
-  kr.name = "pack_vertices";
-  kr.items = n;
-  kr.reps = reps;
-  kr.min_speedup = 0.7;  // regression guard; report shows the real speedup
+  // A 0.7x regression guard; the record shows the real speedup.
+  KernelResult kr{"pack_vertices", n, reps, 0.0, 0.0, 0.7};
   kr.optimized_s = best_of(reps, [&] {
     mp::Writer w = core::encode_frame_vertices(7, verts);
     volatile std::size_t sink = w.size();
@@ -288,11 +269,7 @@ KernelResult bench_unpack(std::size_t n, int reps) {
   mp::Message m;
   m.payload = core::encode_frame_vertices(7, verts).take();
 
-  KernelResult kr;
-  kr.name = "unpack_vertices";
-  kr.items = n;
-  kr.reps = reps;
-  kr.min_speedup = 0.7;
+  KernelResult kr{"unpack_vertices", n, reps, 0.0, 0.0, 0.7};
   kr.optimized_s = best_of(reps, [&] {
     auto out = core::decode_frame_vertices(m, 7);
     volatile std::size_t sink = out.size();
@@ -323,10 +300,7 @@ PoolKernelResult bench_pool_roundtrip(std::size_t n, int reps) {
   };
 
   auto& pool = mp::BufferPool::global();
-  PoolKernelResult pr;
-  pr.name = "exchange_roundtrip";
-  pr.items = n;
-  pr.reps = reps;
+  PoolKernelResult pr{"exchange_roundtrip", n, reps, 0.0, 0.0, 0, 0};
 
   pool.trim();
   pool.set_enabled(true);
@@ -345,13 +319,6 @@ PoolKernelResult bench_pool_roundtrip(std::size_t n, int reps) {
 
 // --- scene benches --------------------------------------------------------
 
-std::uint64_t hash_frame(const render::Framebuffer& fb) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv1a(h, fb.colors().data(), fb.colors().size() * sizeof(render::Color));
-  h = fnv1a(h, fb.depths().data(), fb.depths().size() * sizeof(float));
-  return h;
-}
-
 SceneResult bench_scene(const std::string& name, const core::Scene& scene,
                         const sim::ScenarioParams& params,
                         const sim::RunConfig& cfg) {
@@ -365,10 +332,7 @@ SceneResult bench_scene(const std::string& name, const core::Scene& scene,
   settings.image_width = 160;
   settings.image_height = 120;
 
-  SceneResult sr;
-  sr.name = name;
-  sr.params = params;
-  sr.ncalc = bc.ncalc;
+  SceneResult sr{name, params, bc.ncalc, {}};
 
   auto& pool = mp::BufferPool::global();
   for (int v = 0; v < 2; ++v) {
@@ -380,90 +344,58 @@ SceneResult bench_scene(const std::string& name, const core::Scene& scene,
     const core::ParallelResult res =
         core::run_parallel(scene, settings, bc.spec, bc.placement);
     SceneVariant& out = sr.variants[v];
-    out.pooled = pooled;
     out.wall_s = seconds_since(t0);
-    out.virtual_makespan_s = res.animation_s;
-    out.fb_hash = hash_frame(res.final_frame);
-    for (const auto& sys : res.final_particles) out.final_particles += sys.size();
+    out.virt.makespan_s = res.animation_s;
+    out.virt.fb_hash = render::hash_framebuffer(res.final_frame);
+    for (const auto& sys : res.final_particles) {
+      out.virt.final_particles += sys.size();
+    }
     out.pool = pool.stats();
   }
   pool.set_enabled(true);
   return sr;
 }
 
-// --- JSON emission --------------------------------------------------------
+// --- record ---------------------------------------------------------------
 
-void jd(std::FILE* f, const char* key, double v, const char* suffix) {
-  std::fprintf(f, "\"%s\": %.17g%s", key, v, suffix);
-}
-
-void ju(std::FILE* f, const char* key, std::uint64_t v, const char* suffix) {
-  std::fprintf(f, "\"%s\": %llu%s", key, static_cast<unsigned long long>(v),
-               suffix);
-}
-
-void write_json(const char* path, bool full,
-                const std::vector<KernelResult>& kernels,
-                const PoolKernelResult& pk,
-                const std::vector<SceneResult>& scenes) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    std::exit(1);
+bench::Record to_record(const std::vector<KernelResult>& kernels,
+                        const PoolKernelResult& pk,
+                        const std::vector<SceneResult>& scenes) {
+  bench::Record rec("wallclock_suite");
+  for (const auto& k : kernels) {
+    rec.add(k.name, "items", k.items, "count");
+    rec.add(k.name, "reps", k.reps, "count");
+    rec.add(k.name, "optimized_s", k.optimized_s, "host_s");
+    rec.add(k.name, "legacy_s", k.legacy_s, "host_s");
+    rec.add(k.name, "min_speedup", k.min_speedup, "ratio");
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"psanim-bench-pr4-v1\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", full ? "full" : "quick");
-
-  std::fprintf(f, "  \"kernels\": [\n");
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const auto& k = kernels[i];
-    std::fprintf(f, "    {\"name\": \"%s\", ", k.name.c_str());
-    ju(f, "items", k.items, ", ");
-    std::fprintf(f, "\"reps\": %d, ", k.reps);
-    jd(f, "optimized_s", k.optimized_s, ", ");
-    jd(f, "legacy_s", k.legacy_s, ", ");
-    jd(f, "speedup", k.legacy_s / k.optimized_s, ", ");
-    jd(f, "min_speedup", k.min_speedup, "}");
-    std::fprintf(f, "%s\n", i + 1 < kernels.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-
-  std::fprintf(f, "  \"pool_kernel\": {\"name\": \"%s\", ", pk.name.c_str());
-  ju(f, "items", pk.items, ", ");
-  std::fprintf(f, "\"reps\": %d, ", pk.reps);
-  jd(f, "pooled_s", pk.pooled_s, ", ");
-  jd(f, "unpooled_s", pk.unpooled_s, ", ");
-  ju(f, "pooled_heap_allocs", pk.pooled_heap_allocs, ", ");
-  ju(f, "unpooled_heap_allocs", pk.unpooled_heap_allocs, "},\n");
-
-  std::fprintf(f, "  \"scenes\": [\n");
-  for (std::size_t i = 0; i < scenes.size(); ++i) {
-    const auto& s = scenes[i];
-    std::fprintf(f, "    {\"name\": \"%s\", ", s.name.c_str());
-    ju(f, "systems", s.params.systems, ", ");
-    ju(f, "particles_per_system", s.params.particles_per_system, ", ");
-    std::fprintf(f, "\"frames\": %u, \"ncalc\": %d, \"variants\": [\n",
-                 s.params.frames, s.ncalc);
+  rec.add(pk.name, "items", pk.items, "count");
+  rec.add(pk.name, "reps", pk.reps, "count");
+  rec.add(pk.name, "pooled_s", pk.pooled_s, "host_s");
+  rec.add(pk.name, "unpooled_s", pk.unpooled_s, "host_s");
+  rec.add(pk.name, "pooled_heap_allocs", pk.pooled_heap_allocs, "host_count");
+  rec.add(pk.name, "unpooled_heap_allocs", pk.unpooled_heap_allocs,
+          "host_count");
+  for (const auto& s : scenes) {
+    rec.add(s.name, "systems", s.params.systems, "count");
+    rec.add(s.name, "particles_per_system", s.params.particles_per_system,
+            "count");
+    rec.add(s.name, "frames", s.params.frames, "count");
+    rec.add(s.name, "ncalc", s.ncalc, "count");
     for (int v = 0; v < 2; ++v) {
-      const auto& var = s.variants[v];
-      std::fprintf(f, "      {\"pool\": %s, ", var.pooled ? "true" : "false");
-      jd(f, "wall_s", var.wall_s, ", ");
-      jd(f, "virtual_makespan_s", var.virtual_makespan_s, ", ");
-      std::fprintf(f, "\"fb_hash\": \"%016llx\", ",
-                   static_cast<unsigned long long>(var.fb_hash));
-      ju(f, "final_particles", var.final_particles, ", ");
-      ju(f, "buffer_acquires", var.pool.acquires, ", ");
-      ju(f, "buffer_pool_hits", var.pool.hits, ", ");
-      ju(f, "buffer_heap_allocs", var.pool.misses, ", ");
-      ju(f, "buffer_releases", var.pool.releases, "}");
-      std::fprintf(f, "%s\n", v == 0 ? "," : "");
+      const SceneVariant& var = s.variants[v];
+      const std::string leg = s.name + (v == 0 ? "/pooled" : "/unpooled");
+      rec.add(leg, "wall_s", var.wall_s, "host_s");
+      rec.add(leg, "virtual_makespan_s", var.virt.makespan_s, "s");
+      rec.add(leg, "fb_hash", var.virt.fb_hash, "hash");
+      rec.add(leg, "final_particles", var.virt.final_particles, "count");
+      rec.add(leg, "buffer_acquires", var.pool.acquires, "host_count");
+      rec.add(leg, "buffer_pool_hits", var.pool.hits, "host_count");
+      rec.add(leg, "buffer_heap_allocs", var.pool.misses, "host_count");
+      rec.add(leg, "buffer_releases", var.pool.releases, "host_count");
     }
-    std::fprintf(f, "    ]}%s\n", i + 1 < scenes.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  return rec;
 }
 
 }  // namespace
@@ -494,11 +426,10 @@ int main(int argc, char** argv) {
 
   std::printf("=== wallclock_suite (%s) ===\n", full ? "full" : "quick");
 
-  std::vector<KernelResult> kernels;
-  kernels.push_back(bench_mailbox(/*wildcard=*/false, mb_n, reps));
-  kernels.push_back(bench_mailbox(/*wildcard=*/true, mb_n, reps));
-  kernels.push_back(bench_pack(pk_n, reps));
-  kernels.push_back(bench_unpack(pk_n, reps));
+  const std::vector<KernelResult> kernels = {
+      bench_mailbox(/*wildcard=*/false, mb_n, reps),
+      bench_mailbox(/*wildcard=*/true, mb_n, reps), bench_pack(pk_n, reps),
+      bench_unpack(pk_n, reps)};
   for (const auto& k : kernels) {
     std::printf("%-20s n=%-7zu optimized %.3f ms  legacy %.3f ms  (%.1fx)\n",
                 k.name.c_str(), k.items, k.optimized_s * 1e3, k.legacy_s * 1e3,
@@ -528,25 +459,29 @@ int main(int argc, char** argv) {
       "table3_fountain_is_slb", sim::make_fountain_scene(params), params,
       bench::e800_row(2, 4, core::SpaceMode::kInfinite,
                       core::LbMode::kStatic)));
+  bench::Violations violations;
+  for (const auto& k : kernels) {
+    bench::check_kernel_floor(violations, k.name, k.legacy_s, k.optimized_s,
+                              k.min_speedup);
+  }
+  bench::check_alloc_guard(violations, pk.name, pk.pooled_heap_allocs,
+                           pk.unpooled_heap_allocs);
   for (const auto& s : scenes) {
-    for (const auto& v : s.variants) {
+    for (int v = 0; v < 2; ++v) {
+      const SceneVariant& var = s.variants[v];
       std::printf(
           "%-22s pool=%d wall %.3f s  virtual %.6f s  allocs %llu "
           "(hits %llu)\n",
-          s.name.c_str(), v.pooled ? 1 : 0, v.wall_s, v.virtual_makespan_s,
-          static_cast<unsigned long long>(v.pool.misses),
-          static_cast<unsigned long long>(v.pool.hits));
+          s.name.c_str(), v == 0 ? 1 : 0, var.wall_s, var.virt.makespan_s,
+          static_cast<unsigned long long>(var.pool.misses),
+          static_cast<unsigned long long>(var.pool.hits));
     }
-    if (s.variants[0].virtual_makespan_s != s.variants[1].virtual_makespan_s ||
-        s.variants[0].fb_hash != s.variants[1].fb_hash) {
-      std::fprintf(stderr,
-                   "FATAL: %s virtual results differ between pool variants\n",
-                   s.name.c_str());
-      return 1;
-    }
+    bench::check_pool_variants(violations, s.name, s.variants[0].virt,
+                               s.variants[1].virt);
+    bench::check_alloc_guard(violations, s.name, s.variants[0].pool.misses,
+                             s.variants[1].pool.misses);
   }
 
-  write_json(out.c_str(), full, kernels, pk, scenes);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  if (!to_record(kernels, pk, scenes).write(out)) return 2;
+  return bench::report(violations);
 }

@@ -58,13 +58,11 @@ class BufferPool {
   std::size_t cached_buffers() const;
 
   /// Disabling turns acquire/release into plain allocate/free so benches
-  /// can measure the unpooled baseline in the same process. Also settable
-  /// via the PSANIM_DISABLE_BUFFER_POOL environment variable (any
-  /// non-empty value other than "0").
+  /// can measure the unpooled baseline in the same process.
   void set_enabled(bool on);
   bool enabled() const;
 
-  BufferPool();
+  BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
