@@ -60,7 +60,8 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step
+/// (slice-by-8); any alignment.
 std::uint32_t crc32(std::span<const std::byte> bytes);
 
 }  // namespace psanim::ckpt

@@ -19,6 +19,7 @@ namespace detail {
 struct SharedState {
   mutable std::mutex mu;
   std::condition_variable cv;
+  std::uint64_t cancels = 0;  ///< successful JobHandle::cancel() calls
 };
 
 struct JobRecord {
@@ -73,6 +74,7 @@ bool JobHandle::cancel() {
   const std::scoped_lock lock(rec.ss->mu);
   if (rec.result.state != JobState::kQueued) return false;
   rec.result.state = JobState::kCancelled;
+  ++rec.ss->cancels;
   rec.ss->cv.notify_all();
   return true;
 }
@@ -355,6 +357,7 @@ bool Farm::launch_batch(Scheduler& sched) {
           seg.restore ? JobState::kSuspended : JobState::kQueued;
       if (rec.result.state != expect) {
         out.skipped = true;
+        ++cancels_retired_;
         continue;
       }
       rec.result.state = JobState::kRunning;
@@ -534,10 +537,14 @@ void Farm::drive() {
   for (const auto& rec : jobs_) sched.submit(rec->spec);
 
   // Tell the scheduler about handle-cancelled jobs still in its queue.
+  // Each cancelled job is retired once: dropped here, or skipped at its
+  // launch claim. While every cancel() is retired no queued job can be
+  // cancelled, so the sweep need not look.
   const auto sweep = [&] {
     std::vector<int> dropped;
     {
       const std::scoped_lock lock(ss_->mu);
+      if (ss_->cancels == cancels_retired_) return;
       for (const int seq : sched.queue()) {
         const JobState st = job(seq).result.state;
         if (st != JobState::kQueued && st != JobState::kSuspended) {
@@ -545,6 +552,7 @@ void Farm::drive() {
         }
       }
     }
+    cancels_retired_ += dropped.size();
     for (const int seq : dropped) sched.cancel(seq);
   };
 

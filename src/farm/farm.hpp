@@ -316,6 +316,10 @@ class Farm {
   int preempt_events_ = 0;  ///< vacates (a job may contribute several)
   int restores_ = 0;
   int migrations_ = 0;  ///< restores onto a different shared-node set
+  /// Cancelled jobs the driver has dropped from the scheduler's queue or
+  /// skipped at their launch claim; the queue sweep runs only while this
+  /// trails SharedState::cancels.
+  std::uint64_t cancels_retired_ = 0;
   std::set<std::string> used_obs_names_;
   /// Vault aliases handed to recover()ed jobs — kept alive for the farm's
   /// lifetime so spec.settings.ckpt_vault raw pointers stay valid even if

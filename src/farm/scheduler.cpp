@@ -63,9 +63,32 @@ void Scheduler::submit(const JobSpec& spec) {
 
 void Scheduler::arrive() {
   while (!arrivals_.empty() && arrivals_.top().first <= now_) {
-    queue_.push_back(arrivals_.top().second);
+    enqueue(arrivals_.top().second);
     arrivals_.pop();
   }
+}
+
+bool Scheduler::before(int a, int b) const {
+  const double ra = rank(a);
+  const double rb = rank(b);
+  if (ra != rb) return ra < rb;
+  if (job(a).arrive_s != job(b).arrive_s) {
+    return job(a).arrive_s < job(b).arrive_s;
+  }
+  return a < b;
+}
+
+void Scheduler::enqueue(int seq) {
+  const auto world = static_cast<std::size_t>(job(seq).spec->world_size());
+  if (world >= queued_worlds_.size()) queued_worlds_.resize(world + 1, 0);
+  ++queued_worlds_[world];
+  if (order_stale_) {
+    queue_.push_back(seq);  // the next pass sorts
+    return;
+  }
+  queue_.insert(std::upper_bound(queue_.begin(), queue_.end(), seq,
+                                 [this](int a, int b) { return before(a, b); }),
+                seq);
 }
 
 void Scheduler::release_dependents(int seq) {
@@ -79,7 +102,11 @@ void Scheduler::release_dependents(int seq) {
 }
 
 void Scheduler::cancel(int seq) {
-  std::erase(queue_, seq);
+  const auto it = std::find(queue_.begin(), queue_.end(), seq);
+  if (it != queue_.end()) {
+    queue_.erase(it);
+    --queued_worlds_[static_cast<std::size_t>(job(seq).spec->world_size())];
+  }
   release_dependents(seq);
 }
 
@@ -121,52 +148,88 @@ double Scheduler::stretch(const Assignment& a,
   return 1.0;
 }
 
+Scheduler::Release Scheduler::make_release(double at, int seq,
+                                           const Assignment& a) {
+  const Release r{at, seq, a.world_size(),
+                  static_cast<std::uint32_t>(rel_slots_.size()),
+                  static_cast<std::uint32_t>(a.shared_nodes.size())};
+  for (std::size_t k = 0; k < a.shared_nodes.size(); ++k) {
+    rel_slots_.emplace_back(a.shared_nodes[k], a.ranks_per_node[k]);
+  }
+  return r;
+}
+
 // Running segments release their slots after their remaining work at
 // worst-case stretch; marked victims at their vacate point. Jobs budgeted
 // earlier in the same pass hold slots with *unknown* durations (learned
 // only at launch), so they contribute no release — the reservation
-// estimate errs late, never early.
-std::vector<Scheduler::Release> Scheduler::releases() const {
-  std::vector<Release> out;
-  out.reserve(running_.size());
+// estimate errs late, never early. Fills rels_, sorted.
+void Scheduler::releases() {
+  rels_.clear();
+  rel_slots_.clear();
   for (const auto& r : running_) {
-    out.push_back({now_ + std::max(0.0, r.end() - r.progress) *
-                              stretch(r.assignment, cpus_),
-                   r.seq, r.assignment.shared_nodes,
-                   r.assignment.ranks_per_node});
+    rels_.push_back(make_release(
+        now_ + std::max(0.0, r.end() - r.progress) *
+                   stretch(r.assignment, cpus_),
+        r.seq, r.assignment));
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::sort(rels_.begin(), rels_.end());
 }
 
-// Earliest instant `seq` fits as `sim_free` grows by each release in turn;
-// kInf when even every release is not enough.
-double Scheduler::earliest_fit(int seq, std::vector<int> sim_free,
-                               const std::vector<Release>& rels) const {
+// Earliest instant `seq` fits as `sim_free` grows by each of rels_ — and
+// `extra`, when given, at its place in release order — in turn; kInf when
+// even every release is not enough. Consumes `sim_free`. A fresh job fits
+// on any `world` free slots, so only their count is tracked; a suspended
+// one needs that many before its node matching is worth trying.
+double Scheduler::earliest_fit(int seq, std::vector<int>& sim_free,
+                               const Release* extra) const {
   const auto sit = suspended_.find(seq);
+  const bool by_count = sit == suspended_.end();
+  const int world = job(seq).spec->world_size();
+  int total = std::accumulate(sim_free.begin(), sim_free.end(), 0);
   const auto fits = [&] {
-    if (sit != suspended_.end()) {
-      return match_assignment(shared_, sim_free, sit->second.assignment)
-          .has_value();
+    if (world > total) return false;
+    return by_count ||
+           match_assignment(shared_, sim_free, sit->second.assignment)
+               .has_value();
+  };
+  const auto fits_after = [&](const Release& rel) {
+    total += rel.ranks;
+    if (!by_count) {
+      for (std::uint32_t k = rel.first; k < rel.first + rel.count; ++k) {
+        const auto [node, ranks] = rel_slots_[k];
+        sim_free[static_cast<std::size_t>(node)] += ranks;
+      }
     }
-    return job(seq).spec->world_size() <=
-           std::accumulate(sim_free.begin(), sim_free.end(), 0);
+    return fits();
   };
   if (fits()) return now_;
-  for (const auto& rel : rels) {
-    shift(sim_free, rel.nodes, rel.ranks, +1);
-    if (fits()) return rel.at;
+  for (const auto& rel : rels_) {
+    if (extra != nullptr && *extra < rel) {
+      if (fits_after(*extra)) return extra->at;
+      extra = nullptr;
+    }
+    if (fits_after(rel)) return rel.at;
   }
+  if (extra != nullptr && fits_after(*extra)) return extra->at;
   return kInf;
 }
 
 // The earliest checkpoint frame this segment has not yet passed: the job
 // drains there (sealing that snapshot) and vacates. Jobs beyond their last
-// snapshot frame finish naturally instead.
+// snapshot frame finish naturally instead. The search starts at the first
+// frame completed at or after the current progress: every earlier frame
+// is already passed.
 std::optional<std::pair<std::uint32_t, double>> Scheduler::pick_vacate(
     const Segment& s) const {
+  const auto from =
+      std::find_if(s.timeline.begin(), s.timeline.end(),
+                   [&](const auto& p) { return p.second >= s.progress; });
+  if (from == s.timeline.end()) return std::nullopt;
   const std::uint32_t frames = job(s.seq).spec->settings.frames;
-  for (auto f = s.ckpt.next_snapshot_at_or_after(0, frames, s.resume); f;
+  for (auto f = s.ckpt.next_snapshot_at_or_after(from->first, frames,
+                                                 s.resume);
+       f;
        f = s.ckpt.next_snapshot_at_or_after(*f + 1, frames, s.resume)) {
     const auto it = find_frame(s.timeline, *f);
     if (it != s.timeline.end() && it->second >= s.progress) return *it;
@@ -233,35 +296,73 @@ void Scheduler::mark_victims(int blocked, int total_free,
 // does not fit, after marking eviction victims for it; with easy_backfill
 // off nothing may jump the blocked head (strict reservation), with it on
 // later jobs start only when they provably cannot delay the reserved start.
+//
+// The pass is incremental. The queue arrives in order (re-sorted here only
+// after fair-share ranks moved). The scan stops as soon as the rest of the
+// queue can only be skipped: no credible reservation to backfill against,
+// or fewer free slots than the smallest queued world (once the head is
+// reserved, or when nothing would be). And the EASY test is memoized.
+// Between two launches free_ and rels_ stand still, so a fresh candidate's
+// test depends only on its world size (assign_slots grants the same
+// slots), on its release's slot in the release order and on the release
+// instant t. Within one slot the head's fit time is either independent of
+// t or t itself, so once some t failed, every later t fails too: worlds_
+// keeps per world size the grant and per slot the earliest failed t.
 std::vector<Decision> Scheduler::schedule() {
-  // Queue order: (rank, arrival, seq) ascending.
-  std::vector<std::tuple<double, double, int>> order;
-  order.reserve(queue_.size());
-  for (const int seq : queue_) {
-    order.emplace_back(rank(seq), job(seq).arrive_s, seq);
+  if (order_stale_) {
+    // Fair-share ranks moved with the ledger: key once, then sort.
+    std::vector<std::tuple<double, double, int>> order;
+    order.reserve(queue_.size());
+    for (const int seq : queue_) {
+      order.emplace_back(rank(seq), job(seq).arrive_s, seq);
+    }
+    std::sort(order.begin(), order.end());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      queue_[i] = std::get<2>(order[i]);
+    }
+    order_stale_ = false;
   }
-  std::sort(order.begin(), order.end());
   int total_free = std::accumulate(free_.begin(), free_.end(), 0);
+  int min_world = 0;
+  while (static_cast<std::size_t>(min_world) < queued_worlds_.size() &&
+         queued_worlds_[static_cast<std::size_t>(min_world)] == 0) {
+    ++min_world;
+  }
+  worlds_.assign(queued_worlds_.size(), {});
 
   std::vector<Decision> out;
   batch_.clear();
   int reserved = -1;  // the blocked head, if any
   double reserve_at = kInf;
-  std::vector<Release> rels;  // valid while reserved >= 0
-  for (const auto& [key, arrive, seq] : order) {
+  for (const int seq : queue_) {
+    if ((reserved >= 0 || !preemptive_) && total_free < min_world) break;
     const JobSpec& spec = *job(seq).spec;
+    const int world = spec.world_size();
+    WorldMemo& wm = worlds_[static_cast<std::size_t>(world)];
     const auto sit = suspended_.find(seq);
     const bool is_suspended = sit != suspended_.end();
+    // EASY cond-1's runtime upper bound — exact remaining work for a
+    // suspended job, calibrated est_ratio_max_ x est for a fresh one; -1
+    // when there is none yet.
+    double ub_work = -1.0;
+    if (is_suspended) {
+      ub_work = sit->second.remaining_s;
+    } else if (est_ratio_max_ > 0.0) {
+      ub_work = job(seq).est * est_ratio_max_;
+    }
     // Slots now? A suspended job re-enters only onto nodes matching its
     // original grant (bit-exactness needs identical rates); anywhere such
     // nodes are free, not necessarily where it ran before.
-    std::optional<Assignment> got;
+    std::optional<Assignment> matched;
+    const Assignment* got = nullptr;
     if (is_suspended) {
-      got = match_assignment(shared_, free_, sit->second.assignment);
-    } else if (spec.world_size() <= total_free) {
-      got = assign_slots(shared_, free_, spec.world_size());
+      matched = match_assignment(shared_, free_, sit->second.assignment);
+      if (matched) got = &*matched;
+    } else if (world <= total_free) {
+      if (!wm.grant) wm.grant = assign_slots(shared_, free_, world);
+      got = &*wm.grant;
     }
-    if (!got) {
+    if (got == nullptr) {
       if (!preemptive_ || reserved >= 0) continue;  // one reservation
       // The blocked head. Mark eviction victims for a fresh job (a
       // suspended one waits for matching nodes instead — evicting to
@@ -269,12 +370,14 @@ std::vector<Decision> Scheduler::schedule() {
       // own release bounds.
       if (!is_suspended) mark_victims(seq, total_free, out);
       reserved = seq;
-      rels = releases();
-      reserve_at = earliest_fit(seq, free_, rels);
+      releases();
+      sim_free_ = free_;
+      reserve_at = earliest_fit(seq, sim_free_, nullptr);
       if (reserve_at < kInf) {
         out.push_back({Decision::Kind::kReserve, seq, reserve_at});
       }
       if (!opt_.easy_backfill) break;  // strict head-of-line
+      if (reserve_at == kInf) break;   // no credible reservation yet
       continue;
     }
     bool backfill = false;
@@ -282,27 +385,38 @@ std::vector<Decision> Scheduler::schedule() {
       // EASY admission: start past the blocked head only when the
       // reservation provably survives. Cond-2: it survives even if this
       // job never releases its slots. Cond-1: the job's runtime upper
-      // bound — exact remaining work for a suspended job, calibrated
-      // est_ratio_max_ x est for a fresh one — releases them in time.
-      if (reserve_at == kInf) continue;  // no credible reservation yet
-      double ub_work = -1.0;
-      if (is_suspended) {
-        ub_work = sit->second.remaining_s;
-      } else if (est_ratio_max_ > 0.0) {
-        ub_work = job(seq).est * est_ratio_max_;
-      }
-      std::vector<int> sim_free = free_;
-      shift(sim_free, got->shared_nodes, got->ranks_per_node, -1);
-      std::vector<Release> with = rels;
+      // bound releases them in time.
+      const double t =
+          ub_work >= 0.0 ? now_ + ub_work * stretch(*got, cpus_) : kInf;
+      std::size_t slot = rels_.size() + 1;
       if (ub_work >= 0.0) {
-        with.push_back({now_ + ub_work * stretch(*got, cpus_), seq,
-                        got->shared_nodes, got->ranks_per_node});
-        std::sort(with.begin(), with.end());
+        slot = static_cast<std::size_t>(
+            std::upper_bound(rels_.begin(), rels_.end(), Release{t, seq}) -
+            rels_.begin());
       }
-      if (earliest_fit(reserved, std::move(sim_free), with) > reserve_at) {
+      double* failed = nullptr;
+      if (!is_suspended) {
+        if (wm.easy_failed.size() <= slot) {
+          wm.easy_failed.resize(slot + 1, -1.0);
+        }
+        failed = &wm.easy_failed[slot];
+        if (*failed >= 0.0 && t >= *failed) continue;
+      }
+      sim_free_ = free_;
+      shift(sim_free_, got->shared_nodes, got->ranks_per_node, -1);
+      const std::size_t slots_mark = rel_slots_.size();
+      std::optional<Release> mine;
+      if (ub_work >= 0.0) mine = make_release(t, seq, *got);
+      if (earliest_fit(reserved, sim_free_, mine ? &*mine : nullptr) >
+          reserve_at) {
+        rel_slots_.resize(slots_mark);
+        if (failed != nullptr && (*failed < 0.0 || t < *failed)) *failed = t;
         continue;  // would (or might) delay the reserved start
       }
-      rels = std::move(with);  // later candidates see this one too
+      if (mine) {  // later candidates see this one too
+        rels_.insert(std::upper_bound(rels_.begin(), rels_.end(), *mine),
+                     *mine);
+      }
       backfill = true;
     }
     Segment seg;
@@ -327,15 +441,29 @@ std::vector<Decision> Scheduler::schedule() {
       }
     }
     seg.seq = seq;
-    seg.assignment = std::move(*got);
+    seg.assignment = is_suspended ? std::move(*matched) : std::move(*wm.grant);
+    for (auto& w : worlds_) w = {};  // free_ moves
     shift(free_, seg.assignment.shared_nodes, seg.assignment.ranks_per_node,
           -1, &occupancy_);
-    total_free -= spec.world_size();
+    total_free -= world;
     if (backfill) out.push_back({Decision::Kind::kBackfill, seq, now_});
     out.push_back({Decision::Kind::kLaunch, seq, now_});
     batch_.push_back(std::move(seg));
-    std::erase(queue_, seq);
   }
+
+  // Drop the launched jobs; batch_ is in queue order.
+  std::size_t keep = 0;
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const int seq = queue_[i];
+    if (b < batch_.size() && batch_[b].seq == seq) {
+      --queued_worlds_[static_cast<std::size_t>(job(seq).spec->world_size())];
+      ++b;
+    } else {
+      queue_[keep++] = seq;
+    }
+  }
+  queue_.resize(keep);
   return out;
 }
 
@@ -407,6 +535,7 @@ std::vector<Decision> Scheduler::advance() {
     // before this interval's service lands. With no half-life it stays
     // bit-identical to the raw integral (same additions, same order).
     const double hl = opt_.fair_share.half_life_s;
+    if (opt_.policy == Policy::kFairShare) order_stale_ = true;
     if (hl > 0.0) {
       const double decay = std::exp2(-dt / hl);
       for (auto& [tenant, score] : tenant_score_) score *= decay;
@@ -442,7 +571,7 @@ std::vector<Decision> Scheduler::advance() {
       s.resume = s.preempt_frame;
       s.remaining_s = s.duration - s.vacate_progress;
       s.timeline = {};  // the restore reports its own
-      queue_.push_back(s.seq);
+      enqueue(s.seq);
       suspended_[s.seq] = std::move(s);
     } else {
       out.push_back({Decision::Kind::kFinish, s.seq, now_});

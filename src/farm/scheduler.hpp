@@ -4,14 +4,15 @@
 // single-threaded, deterministic state machine over farm-virtual time.
 //
 // It owns every decision the farm's discrete-event simulation makes: the
-// arrival heap and closed-loop releases, the wait queue in policy order,
-// the slot ledger (free slots and resident ranks per shared node), running
-// segments and their SMP contention stretch, preemption victims, EASY
-// reservations and backfill, suspended jobs' restore records, and the
-// fair-share service ledger. It takes no locks, starts no threads, writes
-// no files and never runs a job. Farm::drive() feeds it events
-// and applies its decisions to job results, the journal and the report —
-// so a test can drive it from a synthetic duration table instead.
+// arrival heap and closed-loop releases, the wait queue (kept in policy
+// order across passes), the slot ledger (free slots and resident ranks per
+// shared node), running segments and their SMP contention stretch,
+// preemption victims, EASY reservations and backfill, suspended jobs'
+// restore records, and the fair-share service ledger. It takes no locks,
+// starts no threads, writes no files and never runs a job. Farm::drive()
+// feeds it events and applies its decisions to job results, the journal
+// and the report — so a test can drive it from a synthetic duration table
+// instead.
 //
 // Protocol, per scheduling instant:
 //   arrive();                 admit the arrivals due by now()
@@ -118,6 +119,9 @@ class Scheduler {
   void cancel(int seq);
   /// One admission pass in policy order. Returns victim, reservation,
   /// backfill and launch decisions; the launches' segments are batch().
+  /// Incremental: the queue stays ordered between passes (fair-share
+  /// re-sorts only after its ledger moved), and the scan stops once nothing
+  /// left in the queue can start.
   std::vector<Decision> schedule();
   const std::vector<Segment>& batch() const { return batch_; }
   /// A batch launch ran: `duration` is its virtual makespan, `timeline`
@@ -151,12 +155,14 @@ class Scheduler {
     double arrive_s = 0.0;  ///< effective arrival; SLO waits measure here
     int preemptions = 0;
   };
-  /// A known upper bound on when held slots come back.
+  /// A known upper bound on when held slots come back: `ranks` slots, as
+  /// the (node, ranks) pairs rel_slots_[first, first + count).
   struct Release {
     double at = 0.0;
     int seq = 0;
-    std::vector<int> nodes;
-    std::vector<int> ranks;
+    int ranks = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
     bool operator<(const Release& o) const {
       return at != o.at ? at < o.at : seq < o.seq;
     }
@@ -165,10 +171,15 @@ class Scheduler {
   const Job& job(int seq) const { return jobs_[static_cast<std::size_t>(seq)]; }
   Job& job(int seq) { return jobs_[static_cast<std::size_t>(seq)]; }
   void release_dependents(int seq);
+  /// Policy order: (rank, arrival, seq) ascending.
+  bool before(int a, int b) const;
+  /// Put `seq` in the queue at its place in policy order.
+  void enqueue(int seq);
   double stretch(const Assignment& a, const std::vector<int>& resident) const;
-  std::vector<Release> releases() const;
-  double earliest_fit(int seq, std::vector<int> sim_free,
-                      const std::vector<Release>& rels) const;
+  Release make_release(double at, int seq, const Assignment& a);
+  void releases();
+  double earliest_fit(int seq, std::vector<int>& sim_free,
+                      const Release* extra) const;
   std::optional<std::pair<std::uint32_t, double>> pick_vacate(
       const Segment& s) const;
   void mark_victims(int blocked, int total_free, std::vector<Decision>& out);
@@ -183,7 +194,11 @@ class Scheduler {
                       std::vector<std::pair<double, int>>, std::greater<>>
       arrivals_;  ///< (arrival time, seq), earliest first
   std::map<int, std::vector<int>> dependents_;  ///< after_seq -> waiting
-  std::vector<int> queue_;  ///< queued and suspended jobs, unordered
+  /// Queued and suspended jobs in policy order (before()), except while
+  /// order_stale_: fair-share ranks moved and the next pass re-sorts.
+  std::vector<int> queue_;
+  bool order_stale_ = false;
+  std::vector<int> queued_worlds_;  ///< queue_ entries per world size
   std::vector<Segment> batch_;
   std::vector<Segment> running_;  ///< admission order
   std::map<int, Segment> suspended_;
@@ -198,6 +213,21 @@ class Scheduler {
   /// Max observed (segment duration / est) over fresh launches — turns an
   /// estimate into a runtime upper bound for EASY cond-1. 0 until known.
   double est_ratio_max_ = 0.0;
+
+  // Admission-pass scratch, reused across passes.
+  std::vector<Release> rels_;  ///< sorted; valid while a head is reserved
+  std::vector<std::pair<int, int>> rel_slots_;  ///< (node, ranks)
+  std::vector<int> sim_free_;
+  /// What a pass learned about one world size since its last launch. Until
+  /// the next launch free_ and rels_ stand still, so both stay true.
+  struct WorldMemo {
+    std::optional<Assignment> grant;  ///< assign_slots(free_, world)
+    /// Per release slot (how many of rels_ precede the candidate's release;
+    /// rels_.size() + 1 for none), the earliest release instant that failed
+    /// the EASY test; -1 while none has.
+    std::vector<double> easy_failed;
+  };
+  std::vector<WorldMemo> worlds_;  ///< indexed by world size
 };
 
 }  // namespace psanim::farm

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -94,6 +97,74 @@ TEST(SnapshotFormat, Crc32MatchesKnownVector) {
   std::vector<std::byte> bytes(9);
   std::memcpy(bytes.data(), s, 9);
   EXPECT_EQ(ckpt::crc32(bytes), 0xCBF43926u);
+}
+
+/// CRC-32 straight from its definition: the reflected 0xEDB88320
+/// polynomial, one bit at a time, no table.
+std::uint32_t crc32_bitwise(std::span<const std::byte> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng() & 0xFFu);
+  return out;
+}
+
+TEST(SnapshotFormat, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..2048 at every start offset 0..7, so the word loop, its
+  // unaligned loads and the byte tail all meet every alignment.
+  const auto buf = random_bytes(2048 + 8, 0xC4C32);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 2048; ++len) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      ASSERT_EQ(ckpt::crc32(s), crc32_bitwise(s))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const auto big = random_bytes((std::size_t{1} << 20) + 13, 0xB16);
+  const std::span<const std::byte> s(big.data() + 3, big.size() - 3);
+  EXPECT_EQ(ckpt::crc32(s), crc32_bitwise(s));
+}
+
+TEST(SnapshotFormat, SectionAndImageCrcsArePinned) {
+  // A fixed image: sections of 0, 13 and 70,001 bytes. Its section CRCs
+  // and whole-image CRC (the manifest digest) are the values the format
+  // has always produced, so snapshots, manifests and journals written by
+  // any build still verify.
+  ckpt::SnapshotWriter w(ckpt::Role::kManager, 0, 12, 0x5EED5EEDu);
+  w.begin_section(ckpt::SectionId::kLbState);
+  auto& small = w.begin_section(ckpt::SectionId::kClock);
+  for (std::uint32_t i = 0; i < 13; ++i) {
+    small.put<std::uint8_t>(static_cast<std::uint8_t>(i * 37u));
+  }
+  auto& large = w.begin_section(ckpt::SectionId::kStores);
+  for (std::uint32_t i = 0; i < 70001; ++i) {
+    large.put<std::uint8_t>(static_cast<std::uint8_t>((i * 131u + 7u) >> 3));
+  }
+  const auto image = w.finish();
+
+  // Header (28 bytes), then per section: u32 id, u64 length, u32 CRC.
+  std::vector<std::uint32_t> crcs;
+  std::size_t pos = 28;
+  while (pos + 16 <= image.size()) {
+    std::uint64_t len = 0;
+    std::uint32_t crc = 0;
+    std::memcpy(&len, image.data() + pos + 4, sizeof len);
+    std::memcpy(&crc, image.data() + pos + 12, sizeof crc);
+    crcs.push_back(crc);
+    pos += 16 + len;
+  }
+  ASSERT_EQ(pos, image.size());
+  EXPECT_EQ(crcs, (std::vector<std::uint32_t>{0x00000000u, 0x8B289B95u,
+                                               0x05B8692Fu}));
+  EXPECT_EQ(ckpt::crc32(image), 0xD5812BE4u);
 }
 
 // --- state codecs ------------------------------------------------------

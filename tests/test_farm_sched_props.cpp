@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -336,14 +337,21 @@ struct SchedRun {
   std::size_t backfills = 0;
   std::size_t aborts = 0;
   std::size_t tied_instants = 0;  ///< finish/vacate instants that are arrivals
+  std::size_t max_queue = 0;      ///< longest queue an admission pass saw
 };
 
 constexpr double kTick = 0.0625;
 
+/// Drives `trace` on `cluster`; arrivals land on `arrival_slots` whole
+/// seconds. The default is make_trace's short, bunched trace on
+/// prop_cluster().
 SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
-                         bool contention, int preempt_interval) {
+                         bool contention, int preempt_interval,
+                         std::vector<TraceJob> trace = {},
+                         const cluster::ClusterSpec& cluster = prop_cluster(),
+                         std::uint32_t arrival_slots = 10) {
   enum class St { kQueued, kRunning, kSuspended, kDone, kCancelled, kFailed };
-  auto trace = make_trace(seed);
+  if (trace.empty()) trace = make_trace(seed);
   const std::size_t n = trace.size();
   Rng rng{seed + 0x5EED};
   std::vector<double> cancel_at(n, 1e300);
@@ -351,7 +359,7 @@ SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
   std::set<double> arrivals;
   for (std::size_t i = 0; i < n; ++i) {
     auto& spec = trace[i].spec;
-    spec.submit_time_s = 16.0 * kTick * rng.below(10);
+    spec.submit_time_s = 16.0 * kTick * rng.below(arrival_slots);
     arrivals.insert(spec.submit_time_s);
     if (trace[i].cancel) cancel_at[i] = 0.0;
     const auto roll = rng.below(8);
@@ -363,7 +371,6 @@ SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
   opts.max_preemptions_per_job = 1;
   opts.preempt_interval = preempt_interval;
   if (!contention) opts.cost.smp_contention = 1.0;
-  const auto cluster = prop_cluster();
   farm::Scheduler s(cluster, opts);
   for (const auto& tj : trace) s.submit(tj.spec);
 
@@ -377,7 +384,7 @@ SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
   const auto ledger_ok = [&] {
     for (const int f : s.free_slots()) EXPECT_GE(f, 0);
   };
-  for (int guard = 0; guard < 10000; ++guard) {
+  for (std::size_t guard = 0; guard < 10000 + 20 * n; ++guard) {
     s.arrive();
     for (std::size_t i = 0; i < n; ++i) {
       if (st[i] == St::kQueued && cancel_at[i] <= s.now()) {
@@ -386,6 +393,7 @@ SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
       }
     }
     const std::vector<int> queue = s.queue();
+    out.max_queue = std::max(out.max_queue, queue.size());
     for (const int seq : queue) {
       if (st[idx(seq)] == St::kCancelled) s.cancel(seq);
     }
@@ -488,8 +496,11 @@ SchedRun drive_scheduler(std::uint64_t seed, const SchedConfig& cfg,
   return out;
 }
 
-TEST(FarmSchedulerProps, HoldsInvariantsOnSyntheticTracesWithExactTies) {
-  std::size_t vacates = 0, backfills = 0, aborts = 0, ties = 0;
+/// Every (policy, EASY, victim order, contention, interval) the exact-tie
+/// sweep covers, over 40 seeds each; `fn(label, seed, cfg, contention,
+/// interval)` runs one cell.
+template <typename Fn>
+void for_each_tie_cell(Fn&& fn) {
   for (const auto policy : {Policy::kFifo, Policy::kSjf, Policy::kPriority,
                             Policy::kFairShare}) {
     for (const bool easy : {false, true}) {
@@ -504,31 +515,117 @@ TEST(FarmSchedulerProps, HoldsInvariantsOnSyntheticTracesWithExactTies) {
                                   .victim = victim,
                                   .half_life_s = 3.0};
             for (std::uint64_t seed = 0; seed < 40; ++seed) {
-              SCOPED_TRACE(to_string(policy) +
-                           (easy ? " easy " : " strict ") +
-                           to_string(victim) +
-                           (contention ? " smp" : " flat") + " interval " +
-                           std::to_string(interval) + " seed " +
-                           std::to_string(seed));
-              const SchedRun a =
-                  drive_scheduler(seed, cfg, contention, interval);
-              EXPECT_EQ(a.log,
-                        drive_scheduler(seed, cfg, contention, interval).log);
-              vacates += a.vacates;
-              backfills += a.backfills;
-              aborts += a.aborts;
-              ties += a.tied_instants;
+              fn(to_string(policy) + (easy ? " easy " : " strict ") +
+                     to_string(victim) + (contention ? " smp" : " flat") +
+                     " interval " + std::to_string(interval) + " seed " +
+                     std::to_string(seed),
+                 seed, cfg, contention, interval);
             }
           }
         }
       }
     }
   }
+}
+
+TEST(FarmSchedulerProps, HoldsInvariantsOnSyntheticTracesWithExactTies) {
+  std::size_t vacates = 0, backfills = 0, aborts = 0, ties = 0;
+  for_each_tie_cell([&](const std::string& label, std::uint64_t seed,
+                        const SchedConfig& cfg, bool contention,
+                        int interval) {
+    SCOPED_TRACE(label);
+    const SchedRun a = drive_scheduler(seed, cfg, contention, interval);
+    EXPECT_EQ(a.log, drive_scheduler(seed, cfg, contention, interval).log);
+    vacates += a.vacates;
+    backfills += a.backfills;
+    aborts += a.aborts;
+    ties += a.tied_instants;
+  });
   // The sweep exercised every path it claims to, exact ties included.
   EXPECT_GT(vacates, 0u);
   EXPECT_GT(backfills, 0u);
   EXPECT_GT(aborts, 0u);
   EXPECT_GT(ties, 0u);
+}
+
+/// `jobs` jobs of world 3-9 (up to 7 calculators, so grants straddle
+/// nodes), 8/12/16 frames, priorities 0-3 and 4 tenants: on 8 x 4 slots
+/// the queue runs hundreds deep when they arrive over a span of 0.75
+/// seconds per job.
+std::vector<TraceJob> make_deep_trace(std::uint64_t seed, int jobs) {
+  Rng rng{seed * 0xD1B54A32D192ED03ull + 7};
+  std::vector<TraceJob> out;
+  for (int i = 0; i < jobs; ++i) {
+    const std::uint32_t frames = 8 + 4 * rng.below(3);
+    TraceJob tj;
+    tj.spec = prop_job("d" + std::to_string(i),
+                       1 + static_cast<int>(rng.below(7)), frames);
+    tj.spec.priority = static_cast<int>(rng.below(4));
+    tj.spec.tenant = "t" + std::to_string(rng.below(4));
+    tj.spec.sjf_cost_hint = static_cast<double>(frames) * frames;
+    tj.cancel = i > 0 && rng.below(50) == 0;
+    out.push_back(std::move(tj));
+  }
+  return out;
+}
+
+cluster::ClusterSpec deep_cluster() {
+  cluster::ClusterSpec spec;
+  spec.add(cluster::NodeType::generic(1.0, 4), 8);
+  return spec;
+}
+
+/// FNV-1a over every field of every decision, in order.
+void fold(std::uint64_t& h, const std::vector<farm::Decision>& log) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (const auto& d : log) {
+    mix(static_cast<std::uint64_t>(d.kind));
+    mix(static_cast<std::uint64_t>(d.seq));
+    mix(std::bit_cast<std::uint64_t>(d.at));
+    mix(d.frame);
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(d.blocked)));
+  }
+}
+
+// Every decision the exact-tie sweep and two deep-queue traces produce,
+// folded into one digest pinned to the value the scheduler gave before its
+// admission pass went incremental (ordered queue, EASY memo, early exit):
+// any change to a decision, its order or its instant moves the digest.
+TEST(FarmSchedulerProps, DecisionDigestIsPinned) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for_each_tie_cell([&](const std::string& label, std::uint64_t seed,
+                        const SchedConfig& cfg, bool contention,
+                        int interval) {
+    SCOPED_TRACE(label);
+    fold(h, drive_scheduler(seed, cfg, contention, interval).log);
+  });
+
+  // Deep queues: 2000 jobs under priority + EASY + cost-aware victims, and
+  // under decayed fair-share (the rank keys move with the ledger).
+  const SchedConfig deep[] = {
+      {.policy = Policy::kPriority,
+       .easy_backfill = true,
+       .victim = VictimSelection::kCostAware},
+      {.policy = Policy::kFairShare,
+       .easy_backfill = true,
+       .half_life_s = 30.0},
+  };
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    SCOPED_TRACE("deep " + to_string(deep[k].policy));
+    const SchedRun r = drive_scheduler(k + 1, deep[k], true, 4,
+                                       make_deep_trace(k + 1, 2000),
+                                       deep_cluster(), 1500);
+    fold(h, r.log);
+    EXPECT_GE(r.max_queue, 500u);
+    EXPECT_GT(r.backfills, 0u);
+    EXPECT_GT(r.vacates, 0u);
+  }
+  EXPECT_EQ(h, 0x9820C34E447417F8ull);
 }
 
 // --- directed: EASY backfill --------------------------------------------
