@@ -39,49 +39,6 @@ inline int report(const Violations& v) {
   return v.empty() ? 0 : 1;
 }
 
-// --- wallclock_suite ------------------------------------------------------
-
-/// A scene variant's virtual results. The buffer pool is a wall-clock
-/// optimization, so pooled and unpooled runs must agree on every bit.
-struct SceneVirtual {
-  double makespan_s = 0.0;
-  std::uint64_t fb_hash = 0;
-  std::uint64_t final_particles = 0;
-  bool operator==(const SceneVirtual&) const = default;
-};
-
-inline void check_pool_variants(Violations& v, const std::string& scene,
-                                const SceneVirtual& pooled,
-                                const SceneVirtual& unpooled) {
-  if (!(pooled == unpooled)) {
-    fail(v, "%s: virtual results differ between pool variants (makespan "
-         "%.17g vs %.17g) — wall-clock state leaked into virtual time",
-         scene.c_str(), pooled.makespan_s, unpooled.makespan_s);
-  }
-}
-
-/// The pool must cut message-path heap allocations at least 2x.
-inline void check_alloc_guard(Violations& v, const std::string& name,
-                              std::uint64_t pooled, std::uint64_t unpooled) {
-  if (pooled * 2 > unpooled) {
-    fail(v, "%s: pooled heap allocs %llu not >= 2x fewer than unpooled %llu",
-         name.c_str(), static_cast<unsigned long long>(pooled),
-         static_cast<unsigned long long>(unpooled));
-  }
-}
-
-/// A kernel's measured speedup (legacy / optimized) must reach its floor.
-inline void check_kernel_floor(Violations& v, const std::string& name,
-                               double legacy_s, double optimized_s,
-                               double min_speedup) {
-  if (!(optimized_s > 0.0)) {
-    fail(v, "%s: nonpositive optimized time %g", name.c_str(), optimized_s);
-  } else if (!(legacy_s / optimized_s >= min_speedup)) {
-    fail(v, "%s: speedup %.3fx below its floor %.3gx", name.c_str(),
-         legacy_s / optimized_s, min_speedup);
-  }
-}
-
 // --- rank_scaling ---------------------------------------------------------
 
 struct ScalingRow {

@@ -9,7 +9,7 @@
 // served entirely from the free lists and performs zero heap allocations on
 // the message path. `Stats` counts hits and misses; a miss is exactly one
 // heap allocation, which makes the pool the measurement point for the
-// wall-clock bench suite's allocation guard.
+// allocation guards in tests/test_mp.cpp.
 //
 // The pool is process-global and thread-safe (one mutex; the critical
 // section is a couple of pointer moves). It deliberately lives in mp with
@@ -57,8 +57,9 @@ class BufferPool {
   /// Number of buffers currently cached across all size classes.
   std::size_t cached_buffers() const;
 
-  /// Disabling turns acquire/release into plain allocate/free so benches
-  /// can measure the unpooled baseline in the same process.
+  /// Disabling turns acquire/release into plain allocate/free: the
+  /// unpooled reference that tests compare pooled runs against, bit for
+  /// bit and allocation for allocation, in the same process.
   void set_enabled(bool on);
   bool enabled() const;
 

@@ -24,8 +24,8 @@ bool images_match(const Framebuffer& a, const Framebuffer& b,
                   double tol = 1e-5);
 
 /// FNV-1a over the raw color and depth planes: the bit-exactness
-/// fingerprint the determinism corpus, the farm and the wall-clock bench
-/// compare. Equal hashes == byte-identical images.
+/// fingerprint the determinism corpus, the farm and the pooled-vs-unpooled
+/// scene pins compare. Equal hashes == byte-identical images.
 std::uint64_t hash_framebuffer(const Framebuffer& fb);
 
 }  // namespace psanim::render

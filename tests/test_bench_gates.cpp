@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -209,37 +208,6 @@ INSTANTIATE_TEST_SUITE_P(
         Case<FarmSlo>{"SjfMakespanOverFifo", "SJF makespan",
                       [](FarmSlo& s) { s = sjf_of(0.2, 0.04); }}),
     ::testing::PrintToStringParamName());
-
-// --- wallclock_suite ------------------------------------------------------
-
-TEST(WallclockGates, PoolVariantVirtualDriftFails) {
-  const SceneVirtual pooled{0.067304632742554701, 0xc51f8930b20c9c38ull, 6479};
-  Violations v;
-  check_pool_variants(v, "same", pooled, pooled);
-  EXPECT_TRUE(v.empty());
-  const double next = std::nextafter(pooled.makespan_s, 1.0);
-  for (const SceneVirtual& drift : {SceneVirtual{next, pooled.fb_hash, 6479},
-                                    SceneVirtual{pooled.makespan_s, 1, 6479},
-                                    SceneVirtual{pooled.makespan_s,
-                                                 pooled.fb_hash, 6480}}) {
-    Violations d;
-    check_pool_variants(d, "scene", pooled, drift);
-    EXPECT_TRUE(has(d, "scene: virtual results differ"));
-  }
-}
-
-TEST(WallclockGates, AllocGuardAndKernelFloor) {
-  Violations v;
-  check_alloc_guard(v, "half", 15, 30);
-  check_kernel_floor(v, "fast", 0.044, 0.001, 2.0);
-  EXPECT_TRUE(v.empty());
-  check_alloc_guard(v, "pool", 16, 30);
-  EXPECT_TRUE(has(v, "pool: pooled heap allocs 16"));
-  check_kernel_floor(v, "slow", 0.0015, 0.001, 2.0);
-  EXPECT_TRUE(has(v, "slow: speedup"));
-  check_kernel_floor(v, "zero", 0.0015, 0.0, 2.0);
-  EXPECT_TRUE(has(v, "zero: nonpositive optimized time"));
-}
 
 // --- rank_scaling ---------------------------------------------------------
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/decomposition.hpp"
 #include "core/exchange.hpp"
 #include "core/wire.hpp"
@@ -187,6 +189,32 @@ TEST(Wire, FrameVerticesRoundTripCount) {
   const auto back = decode_frame_vertices(m, 9);
   ASSERT_EQ(back.size(), 100u);
   EXPECT_FLOAT_EQ(back[42].pos.x, 42.0f);
+
+  // The bulk copy lays vertex i out at offset 14 + 16 i exactly as writing
+  // pack_vertex's fields one by one would: x, y, z as floats, then r, g, b,
+  // size_q as bytes. Every field differs, so a swap shows.
+  std::vector<RenderVertex> distinct(3);
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    const float f = static_cast<float>(i);
+    distinct[i].pos = {1.5f + f, -2.25f - f, 3.0f + 4 * f};
+    distinct[i].color = {0.1f + 0.1f * f, 0.45f, 0.8f - 0.1f * f};
+    distinct[i].size = 0.2f + 0.05f * f;
+  }
+  mp::Writer expect;
+  for (const auto& v : distinct) {
+    const PackedVertex p = pack_vertex(v);
+    expect.put(p.x);
+    expect.put(p.y);
+    expect.put(p.z);
+    expect.put(p.r);
+    expect.put(p.g);
+    expect.put(p.b);
+    expect.put(p.size_q);
+  }
+  const mp::Writer packed = encode_frame_vertices(9, distinct);
+  ASSERT_EQ(packed.size(), 14u + expect.size());
+  EXPECT_TRUE(std::equal(expect.bytes().begin(), expect.bytes().end(),
+                         packed.bytes().begin() + 14));
 }
 
 TEST(Wire, RankHelpers) {

@@ -6,11 +6,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <random>
 #include <thread>
 #include <tuple>
 #include <utility>
 
+#include "bench/bench_util.hpp"
+#include "core/simulation.hpp"
+#include "core/wire.hpp"
+#include "math/rng.hpp"
 #include "mp/buffer_pool.hpp"
 #include "mp/collectives.hpp"
 #include "mp/communicator.hpp"
@@ -18,6 +25,9 @@
 #include "mp/message.hpp"
 #include "mp/runtime.hpp"
 #include "mp/virtual_clock.hpp"
+#include "render/compare.hpp"
+#include "sim/run_config.hpp"
+#include "sim/scenario.hpp"
 
 namespace psanim::mp {
 namespace {
@@ -166,6 +176,78 @@ TEST(Mailbox, OutOfOrderArrivalsStillPopSorted) {
   EXPECT_EQ(box.size(), 0u);
 }
 
+TEST(Mailbox, MatchesLinearScanOracleUnderMixedFilters) {
+  // Differential test against the flat-deque mailbox the indexed rings
+  // replaced: every pop takes the first-pushed of the queued matches with
+  // the smallest (arrive_time, src, seq). Pushes and pops interleave, all
+  // four filter shapes occur, and arrive times come from a coarse grid in
+  // random order, so out-of-order pushes and exact (arrive, src, seq) ties
+  // across and within streams are common. depart_time carries a unique id.
+  struct Oracle {
+    std::deque<Message> q;
+    std::optional<Message> try_pop_match(int src, int tag) {
+      auto best = q.end();
+      for (auto it = q.begin(); it != q.end(); ++it) {
+        if (src != kAny && it->src != src) continue;
+        if (tag != kAny && it->tag != tag) continue;
+        if (best == q.end() ||
+            std::tie(it->arrive_time, it->src, it->seq) <
+                std::tie(best->arrive_time, best->src, best->seq)) {
+          best = it;
+        }
+      }
+      if (best == q.end()) return std::nullopt;
+      Message m = std::move(*best);
+      q.erase(best);
+      return m;
+    }
+  };
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](int n) {
+      return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    };
+    Mailbox box;
+    Oracle oracle;
+    int pops = 0;
+    for (int op = 0; op < 3000; ++op) {
+      if (pick(100) < 55) {
+        Message m;
+        m.src = pick(4);
+        m.tag = 10 + pick(3);
+        m.arrive_time = 0.125 * pick(8);
+        m.seq = static_cast<std::uint64_t>(pick(3));
+        m.depart_time = op;
+        oracle.q.push_back(m);
+        box.push(std::move(m));
+        continue;
+      }
+      const int shape = pick(4);  // exact, src-wildcard, tag-wildcard, both
+      const int src = (shape & 1) ? kAny : pick(4);
+      const int tag = (shape & 2) ? kAny : 10 + pick(3);
+      const std::optional<Message> got = box.try_pop_match(src, tag);
+      const std::optional<Message> want = oracle.try_pop_match(src, tag);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "seed " << seed << " op " << op;
+      if (got) {
+        ++pops;
+        ASSERT_EQ(got->depart_time, want->depart_time)
+            << "seed " << seed << " op " << op << " filter (" << src << ", "
+            << tag << ")";
+      }
+      ASSERT_EQ(box.size(), oracle.q.size());
+    }
+    EXPECT_GT(pops, 500) << "seed " << seed;
+    while (auto want = oracle.try_pop_match(kAny, kAny)) {
+      const std::optional<Message> got = box.try_pop_match(kAny, kAny);
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(got->depart_time, want->depart_time);
+    }
+    EXPECT_EQ(box.size(), 0u);
+  }
+}
+
 TEST(Mailbox, ThreadedPushesAlwaysPopInVirtualOrder) {
   // Property: however the OS schedules the pushing threads, draining the
   // mailbox always yields the global (arrive_time, src, seq) order. Each
@@ -307,10 +389,12 @@ TEST(BufferPool, OversizeRequestsBypassThePool) {
 }
 
 TEST(BufferPool, SteadyStateMessagePathAllocatesZero) {
-  // A strict ping-pong keeps at most one payload live per direction, so
-  // the second run's buffer demand is identical to the first's — every
-  // acquire must be served from the pool, and every buffer must come back
-  // (no leaks out of the recycle loop).
+  // Two warmed bodies. A strict ping-pong keeps at most one payload live
+  // per direction, and an exchange round trip (encode_batches -> payload
+  // -> decode_batches) builds one payload, so each second run's buffer
+  // demand is identical to the first's — every acquire must be served
+  // from the pool, and every buffer must come back (no leaks out of the
+  // recycle loop).
   auto& pool = BufferPool::global();
   const bool was_enabled = pool.enabled();
   pool.set_enabled(true);
@@ -336,13 +420,107 @@ TEST(BufferPool, SteadyStateMessagePathAllocatesZero) {
     });
   };
 
-  ping_pong();  // warm the pool
-  pool.reset_stats();
-  ping_pong();  // steady state: zero heap allocations on the message path
-  const BufferPool::Stats s = pool.stats();
-  EXPECT_GT(s.acquires, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.releases, s.acquires);  // every buffer returned to the pool
+  std::vector<core::SystemBatch> batches(1);
+  Rng rng(42);
+  batches[0].particles.resize(1 << 14);
+  for (auto& p : batches[0].particles) {
+    p.pos = rng.in_box({-10, 0, -10}, {10, 10, 10});
+    p.vel = rng.in_unit_ball() * 3.0f;
+  }
+  auto exchange_round_trip = [&] {
+    Message m;
+    m.payload = core::encode_batches(3, batches).take();
+    ASSERT_EQ(core::decode_batches(m, 3)[0].particles.size(), 1u << 14);
+  };
+
+  for (const auto& body : {std::function<void()>(ping_pong),
+                           std::function<void()>(exchange_round_trip)}) {
+    body();  // warm the pool
+    pool.reset_stats();
+    body();  // steady state: zero heap allocations on the message path
+    const BufferPool::Stats s = pool.stats();
+    EXPECT_GT(s.acquires, 0u);
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.releases, s.acquires);  // every buffer returned to the pool
+  }
+  pool.set_enabled(was_enabled);
+}
+
+TEST(BufferPool, PinnedScenesMatchUnpooledBitForBit) {
+  // The pool is a host-time optimization, so a scene must give the same
+  // virtual results with it on and off: the quick-scale Table 1 snow
+  // (FS-DLB) and Table 3 fountain (IS-SLB) rows on 2 E800s x 4
+  // calculators, 4 x 1500 particles, 12 frames, 160 x 120 image. Both
+  // variants match values pinned when the pool was introduced, and the
+  // pool cuts message-buffer heap allocations at least 2x.
+  struct Pinned {
+    double makespan_s;
+    std::uint64_t fb_hash;
+    std::size_t final_particles;
+    bool operator==(const Pinned&) const = default;
+  };
+  struct Case {
+    const char* name;
+    core::Scene (*make)(const sim::ScenarioParams&);
+    core::SpaceMode space;
+    core::LbMode lb;
+    Pinned expect;
+  };
+  const Case cases[] = {
+      {"table1_snow_fs_dlb", sim::make_snow_scene, core::SpaceMode::kFinite,
+       core::LbMode::kDynamicPairwise,
+       {0.067304632742554701, 14204222591988440120ull, 6479}},
+      {"table3_fountain_is_slb", sim::make_fountain_scene,
+       core::SpaceMode::kInfinite, core::LbMode::kStatic,
+       {0.15771222509803964, 10158110814389142642ull, 6475}},
+  };
+
+  sim::ScenarioParams params;
+  params.systems = 4;
+  params.particles_per_system = 1500;
+  params.frames = 12;
+  auto& pool = BufferPool::global();
+  const bool was_enabled = pool.enabled();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const sim::BuiltCluster bc =
+        sim::build_cluster(bench::e800_row(2, 4, c.space, c.lb));
+    core::SimSettings settings;
+    settings.ncalc = bc.ncalc;
+    settings.frames = params.frames;
+    settings.dt = params.dt;
+    settings.space = c.space;
+    settings.lb = c.lb;
+    settings.image_width = 160;
+    settings.image_height = 120;
+    const core::Scene scene = c.make(params);
+
+    Pinned got[2];
+    std::uint64_t misses[2];
+    for (const bool pooled : {true, false}) {
+      pool.trim();
+      pool.set_enabled(pooled);
+      pool.reset_stats();
+      const core::ParallelResult res =
+          core::run_parallel(scene, settings, bc.spec, bc.placement);
+      Pinned& out = got[pooled ? 0 : 1];
+      out = {res.animation_s, render::hash_framebuffer(res.final_frame), 0};
+      for (const auto& sys : res.final_particles) {
+        out.final_particles += sys.size();
+      }
+      misses[pooled ? 0 : 1] = pool.stats().misses;
+    }
+    EXPECT_EQ(got[0], got[1]) << "pooled makespan " << got[0].makespan_s
+                              << " vs unpooled " << got[1].makespan_s;
+    for (const Pinned& g : got) {
+      EXPECT_EQ(g.makespan_s, c.expect.makespan_s);
+      EXPECT_EQ(g.fb_hash, c.expect.fb_hash);
+      EXPECT_EQ(g.final_particles, c.expect.final_particles);
+    }
+    EXPECT_LE(misses[0] * 2, misses[1])
+        << "pooled heap allocations " << misses[0] << ", unpooled "
+        << misses[1];
+  }
   pool.set_enabled(was_enabled);
 }
 
