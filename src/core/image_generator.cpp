@@ -85,12 +85,12 @@ void ImageGenerator::run(mp::Endpoint& ep) {
         const mp::Message m =
             ep.recv_within(calc_rank(c), kTagFrame, set_.phase_timeout_s);
         is.gather_bytes += m.wire_bytes();
-        const auto verts = decode_frame_vertices(m, frame);
-        splat_points(fb_, cam_, std::span<const RenderVertex>(verts),
-                     render::BlendMode::kAdditive);
-        ep.charge(env_.cost->compute_s(env_.cost->render_cost, verts.size(),
-                                       env_.rate));
-        is.particles_rendered += verts.size();
+        const std::size_t n = for_each_frame_chunk(
+            m, frame, [&](std::span<const RenderVertex> chunk) {
+              splat_points(fb_, cam_, chunk, render::BlendMode::kAdditive);
+            });
+        ep.charge(env_.cost->compute_s(env_.cost->render_cost, n, env_.rate));
+        is.particles_rendered += n;
       }
     } else {
       // Sort-last: composite per-calculator partial images.

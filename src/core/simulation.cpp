@@ -349,10 +349,9 @@ SequentialResult run_sequential(const Scene& scene,
         34 * std::max(settings.image_width, settings.image_height));
     clock += cost.compute_s(cost.render_cost, px, rate);
     std::size_t rendered = 0;
-    for (auto& store : stores) {
-      const auto parts = store.snapshot();
-      render::splat_particles(fb, cam, parts, render::BlendMode::kAdditive);
-      rendered += parts.size();
+    for (const auto& store : stores) {
+      render::splat_store(fb, cam, store, render::BlendMode::kAdditive);
+      rendered += store.size();
     }
     clock += cost.compute_s(cost.render_cost, rendered, rate);
   }

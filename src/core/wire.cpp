@@ -1,5 +1,6 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -148,48 +149,92 @@ std::vector<EdgeEntry> decode_edges(const mp::Message& m,
   return r.get_vector<EdgeEntry>();
 }
 
-mp::Writer encode_frame_vertices(std::uint32_t frame,
-                                 const std::vector<RenderVertex>& verts) {
+namespace {
+
+constexpr std::size_t kFrameHeaderBytes =
+    2 + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+// The one frame-vertex pack loop: control header, frame, vertex count, then
+// the `n` vertices `for_each` hands its sink, packed straight into the
+// payload in order. memcpy keeps the write legal at any alignment (the
+// 14-byte header leaves the array unaligned).
+template <typename ForEach>
+mp::Writer pack_frame(std::uint32_t frame, std::size_t n, ForEach&& for_each) {
   mp::Writer w;
-  w.reserve(2 + sizeof(frame) + sizeof(std::uint64_t) +
-            verts.size() * sizeof(PackedVertex));
+  w.reserve(kFrameHeaderBytes + n * sizeof(PackedVertex));
   put_control_header(w);
   w.put(frame);
-  // Pack straight into the payload: the former intermediate
-  // vector<PackedVertex> cost an allocation plus a second full copy per
-  // frame per calculator. memcpy keeps the write legal at any alignment
-  // (the 14-byte header leaves the array unaligned).
-  w.put<std::uint64_t>(verts.size());
-  std::byte* out = w.alloc(verts.size() * sizeof(PackedVertex));
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    const PackedVertex p = pack_vertex(verts[i]);
-    std::memcpy(out + i * sizeof(PackedVertex), &p, sizeof(PackedVertex));
-  }
+  w.put<std::uint64_t>(n);
+  std::byte* out = w.alloc(n * sizeof(PackedVertex));
+  for_each([&out](const RenderVertex& v) {
+    const PackedVertex p = pack_vertex(v);
+    std::memcpy(out, &p, sizeof(PackedVertex));
+    out += sizeof(PackedVertex);
+  });
   return w;
+}
+
+}  // namespace
+
+mp::Writer encode_frame_vertices(std::uint32_t frame,
+                                 const std::vector<RenderVertex>& verts) {
+  return pack_frame(frame, verts.size(), [&](auto&& sink) {
+    for (const RenderVertex& v : verts) sink(v);
+  });
+}
+
+mp::Writer encode_frame_stores(std::uint32_t frame,
+                               std::span<const psys::SlicedStore> stores) {
+  std::size_t n = 0;
+  for (const auto& store : stores) n += store.size();
+  return pack_frame(frame, n, [&](auto&& sink) {
+    for (const auto& store : stores) {
+      for (const auto& slice : store.raw_slices()) {
+        for (const psys::Particle& p : slice) sink(to_render_vertex(p));
+      }
+    }
+  });
 }
 
 std::vector<RenderVertex> decode_frame_vertices(const mp::Message& m,
                                                 std::uint32_t expect_frame) {
+  std::vector<RenderVertex> verts;
+  // The payload size bounds the vertex count, so the chunks append
+  // without regrowth.
+  verts.reserve(m.payload.size() / sizeof(PackedVertex));
+  for_each_frame_chunk(m, expect_frame,
+                       [&](std::span<const RenderVertex> chunk) {
+                         verts.insert(verts.end(), chunk.begin(), chunk.end());
+                       });
+  return verts;
+}
+
+std::size_t for_each_frame_chunk(
+    const mp::Message& m, std::uint32_t expect_frame,
+    const std::function<void(std::span<const RenderVertex>)>& visit) {
   mp::Reader r(m);
   check_control_header(r, "decode_frame_vertices");
   check_frame(r.get<std::uint32_t>(), expect_frame, "decode_frame_vertices");
-  // Unpack straight out of the payload (no intermediate packed vector).
-  const auto n = r.get<std::uint64_t>();
-  if (n > r.remaining() / sizeof(PackedVertex)) {
+  const auto count = r.get<std::uint64_t>();
+  if (count > r.remaining() / sizeof(PackedVertex)) {
     throw mp::DecodeError(
         "decode_frame_vertices: vertex count exceeds payload");
   }
-  const std::span<const std::byte> raw =
-      r.raw(static_cast<std::size_t>(n) * sizeof(PackedVertex));
-  std::vector<RenderVertex> verts;
-  verts.reserve(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    PackedVertex p;
-    std::memcpy(&p, raw.data() + i * sizeof(PackedVertex),
-                sizeof(PackedVertex));
-    verts.push_back(unpack_vertex(p));
+  const auto n = static_cast<std::size_t>(count);
+  const std::span<const std::byte> packed = r.raw(n * sizeof(PackedVertex));
+  // Sized to the message: a small frame pays for its own vertices only.
+  std::vector<RenderVertex> chunk(std::min(n, kFrameChunk));
+  for (std::size_t first = 0; first < n; first += chunk.size()) {
+    const std::size_t len = std::min(chunk.size(), n - first);
+    for (std::size_t i = 0; i < len; ++i) {
+      PackedVertex p;
+      std::memcpy(&p, packed.data() + (first + i) * sizeof(PackedVertex),
+                  sizeof(PackedVertex));
+      chunk[i] = unpack_vertex(p);
+    }
+    visit(std::span<const RenderVertex>(chunk.data(), len));
   }
-  return verts;
+  return n;
 }
 
 }  // namespace psanim::core

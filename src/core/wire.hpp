@@ -9,10 +9,13 @@
 // silently mixing frames.
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "mp/message.hpp"
 #include "psys/particle.hpp"
+#include "psys/store.hpp"
 #include "psys/system.hpp"
 
 namespace psanim::core {
@@ -137,10 +140,33 @@ mp::Writer encode_edges(std::uint32_t frame,
 std::vector<EdgeEntry> decode_edges(const mp::Message& m,
                                     std::uint32_t expect_frame);
 
+// Frame vertices (kTagFrame): control header, frame, a u64 count, then
+// `count` PackedVertex records. decode_frame_vertices collects
+// for_each_frame_chunk's chunks.
 mp::Writer encode_frame_vertices(std::uint32_t frame,
                                  const std::vector<RenderVertex>& verts);
 std::vector<RenderVertex> decode_frame_vertices(const mp::Message& m,
                                                 std::uint32_t expect_frame);
+
+/// The calculator's frame payload, packed straight from its stores: every
+/// particle (dead ones too), store by store, slice by slice, in
+/// `SlicedStore::snapshot` order, each as pack_vertex(to_render_vertex(p)).
+/// Byte-identical to encode_frame_vertices over the converted snapshots,
+/// without the snapshot and RenderVertex copies.
+mp::Writer encode_frame_stores(std::uint32_t frame,
+                               std::span<const psys::SlicedStore> stores);
+
+/// Most vertices for_each_frame_chunk unpacks at a time.
+inline constexpr std::size_t kFrameChunk = 1024;
+
+/// Decode a frame payload without materialising it. Checks the control
+/// header and frame (ProtocolError) and the count against the payload
+/// (mp::DecodeError), then calls `visit` on consecutive runs of at most
+/// kFrameChunk unpacked vertices, in payload order. The scratch holds
+/// min(count, kFrameChunk) vertices. Returns the vertex count.
+std::size_t for_each_frame_chunk(
+    const mp::Message& m, std::uint32_t expect_frame,
+    const std::function<void(std::span<const RenderVertex>)>& visit);
 
 /// Thrown when a payload's frame number does not match the receiver's
 /// current frame — a protocol bug.

@@ -86,12 +86,14 @@ class SlicedStore {
   /// Mirror image: highest keys, toward the right neighbor.
   Donation donate_high(std::size_t count);
 
-  /// Gather a copy of every particle (rendering, tests).
+  /// Gather a copy of every particle, slice by slice (final results,
+  /// tests). The frame path reads raw_slices() in this same order, so the
+  /// two must not diverge.
   std::vector<Particle> snapshot() const;
 
   /// The internal per-slice layout (checkpoint serialization — replay is
   /// bit-exact only if the slice order, which drives RNG consumption
-  /// order, survives the round trip).
+  /// order, survives the round trip — and the copy-free frame path).
   const std::vector<std::vector<Particle>>& raw_slices() const {
     return slices_;
   }

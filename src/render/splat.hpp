@@ -9,6 +9,7 @@
 #include <span>
 
 #include "psys/particle.hpp"
+#include "psys/store.hpp"
 #include "render/camera.hpp"
 #include "render/framebuffer.hpp"
 
@@ -87,9 +88,16 @@ SplatStats splat_points(Framebuffer& fb, const Camera& cam,
   return stats;
 }
 
-/// Particle overload used by the sequential renderer and tests.
+/// Particle overload (splat_store splats each slice through it).
 SplatStats splat_particles(Framebuffer& fb, const Camera& cam,
                            std::span<const psys::Particle> particles,
                            BlendMode mode = BlendMode::kAdditive);
+
+/// Splat a store's particles slice by slice from its raw slices, in
+/// `SlicedStore::snapshot` order, without gathering a copy. Same pixels,
+/// bit for bit, as splatting the snapshot.
+void splat_store(Framebuffer& fb, const Camera& cam,
+                 const psys::SlicedStore& store,
+                 BlendMode mode = BlendMode::kAdditive);
 
 }  // namespace psanim::render

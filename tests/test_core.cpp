@@ -4,11 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "core/decomposition.hpp"
 #include "core/exchange.hpp"
+#include "core/simulation.hpp"
 #include "core/wire.hpp"
+#include "math/rng.hpp"
 #include "mp/runtime.hpp"
+#include "render/compare.hpp"
+#include "render/splat.hpp"
+#include "sim/run_config.hpp"
+#include "sim/scenario.hpp"
 
 namespace psanim::core {
 namespace {
@@ -217,6 +225,135 @@ TEST(Wire, FrameVerticesRoundTripCount) {
                          packed.bytes().begin() + 14));
 }
 
+// Random particles across [-10, 10)^3 with varied shading; every third one
+// dead (the frame payload ships dead particles too).
+std::vector<Particle> shaded_particles(std::size_t n, std::uint32_t seed) {
+  Rng rng(seed);
+  std::vector<Particle> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Particle& p = out[i];
+    p.pos = {rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10)};
+    p.color = {rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1)};
+    p.alpha = rng.uniform(0, 1);
+    p.size = rng.uniform(0, 0.6f);
+    if (i % 3 == 0) p.kill();
+  }
+  return out;
+}
+
+TEST(Wire, FrameStoresMatchConvertedSnapshotsByteForByte) {
+  const auto old_path = [](std::uint32_t frame,
+                           const std::vector<psys::SlicedStore>& stores) {
+    std::vector<RenderVertex> verts;
+    for (const auto& store : stores) {
+      for (const auto& p : store.snapshot()) {
+        verts.push_back(to_render_vertex(p));
+      }
+    }
+    return encode_frame_vertices(frame, verts);
+  };
+
+  // Many slices, all filled; a store whose particles sit in two of its
+  // slices; an empty store; a one-slice store.
+  std::vector<psys::SlicedStore> stores;
+  stores.emplace_back(0, -10, 10, 32);
+  stores.back().insert_batch(shaded_particles(700, 1));
+  stores.emplace_back(1, -10, 10, 8);
+  for (Particle p : shaded_particles(40, 2)) {
+    p.pos.y = (p.pos.y < 0 ? -9.5f : 9.5f);
+    stores.back().insert(p);
+  }
+  stores.emplace_back(2, -10, 10, 4);
+  stores.emplace_back(2, -10, 10, 1);
+  stores.back().insert_batch(shaded_particles(5, 3));
+  ASSERT_TRUE(stores[1].raw_slices()[3].empty());
+
+  const auto same = [](const mp::Writer& a, const mp::Writer& b) {
+    return a.bytes() == b.bytes();
+  };
+  EXPECT_TRUE(same(encode_frame_stores(5, stores), old_path(5, stores)));
+  const std::vector<psys::SlicedStore> none;
+  EXPECT_TRUE(same(encode_frame_stores(5, none), old_path(5, none)));
+  EXPECT_EQ(encode_frame_stores(5, none).size(), 14u);
+  const std::vector<psys::SlicedStore> empty_only(stores.begin() + 2,
+                                                  stores.begin() + 3);
+  EXPECT_TRUE(same(encode_frame_stores(6, empty_only),
+                   old_path(6, empty_only)));
+}
+
+TEST(Wire, ChunkedSplatMatchesWholeDecodeBitForBit) {
+  // A small framebuffer under many vertices, so pixels stack splats and
+  // a change in the float summation order would show in the hash.
+  const render::Camera cam = render::Camera::framing({0, 0, 0}, 10, 32, 24);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kFrameChunk - 1, kFrameChunk,
+        kFrameChunk + 1, 3 * kFrameChunk + 5}) {
+    SCOPED_TRACE(n);
+    std::vector<RenderVertex> verts;
+    const auto seed = static_cast<std::uint32_t>(7 + n);
+    for (const auto& p : shaded_particles(n, seed)) {
+      verts.push_back(to_render_vertex(p));
+    }
+    mp::Message m;
+    m.payload = encode_frame_vertices(4, verts).take();
+
+    render::Framebuffer whole(32, 24);
+    const auto decoded = decode_frame_vertices(m, 4);
+    render::splat_points(whole, cam, std::span<const RenderVertex>(decoded),
+                         render::BlendMode::kAdditive);
+
+    render::Framebuffer chunked(32, 24);
+    std::size_t seen = 0;
+    const std::size_t got = for_each_frame_chunk(
+        m, 4, [&](std::span<const RenderVertex> chunk) {
+          EXPECT_GT(chunk.size(), 0u);
+          EXPECT_LE(chunk.size(), kFrameChunk);
+          seen += chunk.size();
+          render::splat_points(chunked, cam, chunk,
+                               render::BlendMode::kAdditive);
+        });
+    EXPECT_EQ(got, n);
+    EXPECT_EQ(seen, n);
+    EXPECT_EQ(render::hash_framebuffer(chunked),
+              render::hash_framebuffer(whole));
+  }
+}
+
+TEST(Wire, FrameDecodersShareTheirErrors) {
+  const std::vector<RenderVertex> verts(3);
+  const auto message_of = [](auto&& decode) -> std::string {
+    try {
+      decode();
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const auto visit_nothing = [](std::span<const RenderVertex>) {};
+
+  // A count one past what the payload holds.
+  mp::Message over;
+  over.payload = encode_frame_vertices(9, verts).take();
+  const std::uint64_t four = 4;
+  std::memcpy(over.payload.data() + 6, &four, sizeof four);
+  EXPECT_THROW(decode_frame_vertices(over, 9), mp::DecodeError);
+  EXPECT_THROW(for_each_frame_chunk(over, 9, visit_nothing), mp::DecodeError);
+  EXPECT_EQ(message_of([&] { decode_frame_vertices(over, 9); }),
+            "decode_frame_vertices: vertex count exceeds payload");
+  EXPECT_EQ(message_of([&] { for_each_frame_chunk(over, 9, visit_nothing); }),
+            "decode_frame_vertices: vertex count exceeds payload");
+
+  // The right payload in the wrong frame.
+  mp::Message late;
+  late.payload = encode_frame_vertices(9, verts).take();
+  EXPECT_THROW(decode_frame_vertices(late, 10), ProtocolError);
+  EXPECT_THROW(for_each_frame_chunk(late, 10, visit_nothing), ProtocolError);
+  EXPECT_EQ(message_of([&] { decode_frame_vertices(late, 10); }),
+            "decode_frame_vertices: payload for frame 9 arrived in frame 10");
+  EXPECT_EQ(message_of([&] { for_each_frame_chunk(late, 10, visit_nothing); }),
+            "decode_frame_vertices: payload for frame 9 arrived in frame 10");
+}
+
 TEST(Wire, RankHelpers) {
   EXPECT_EQ(calc_rank(0), 2);
   EXPECT_EQ(calc_index(calc_rank(5)), 5);
@@ -296,6 +433,53 @@ TEST(Exchange, MissingEotIsDetectedAsTimeout) {
                           [](psys::SystemId, std::vector<Particle>&&) {});
       }),
       mp::RecvTimeout);
+}
+
+// --- frame path pins ---
+
+// The sort-last image, the gather image and the sequential render of a
+// small snow scene, pinned to the values the snapshot-based frame path
+// produced. Splatting slice by slice must keep the splat order (store,
+// slice, element) and so every float sum bit for bit; these pins are the
+// fast-tier check (test_integration only compares the images within a
+// PSNR tolerance).
+TEST(FramePath, SortLastGatherAndSequentialImagesArePinned) {
+  sim::ScenarioParams params;
+  params.systems = 2;
+  params.particles_per_system = 900;
+  params.frames = 8;
+  const Scene scene = sim::make_snow_scene(params);
+  sim::RunConfig cfg;
+  cfg.groups = {{cluster::NodeType::e800(), 2, 3}};
+  const sim::BuiltCluster bc = sim::build_cluster(cfg);
+  SimSettings settings;
+  settings.ncalc = bc.ncalc;
+  settings.frames = params.frames;
+  settings.dt = params.dt;
+  settings.image_width = 96;
+  settings.image_height = 72;
+
+  struct Pinned {
+    double makespan_s;
+    std::uint64_t fb_hash;
+  };
+  const auto parallel = [&](ImageGenMode mode) {
+    SimSettings s = settings;
+    s.imgen = mode;
+    const ParallelResult r = run_parallel(scene, s, bc.spec, bc.placement);
+    return Pinned{r.animation_s, render::hash_framebuffer(r.final_frame)};
+  };
+  const Pinned sort_last = parallel(ImageGenMode::kSortLast);
+  const Pinned gather = parallel(ImageGenMode::kGatherParticles);
+  const SequentialResult seq = run_sequential(scene, settings, 1.0);
+  const std::uint64_t seq_hash = render::hash_framebuffer(seq.final_frame);
+
+  EXPECT_EQ(sort_last.makespan_s, 0.018757835954103259);
+  EXPECT_EQ(sort_last.fb_hash, 12624318087276825520ull);
+  EXPECT_EQ(gather.makespan_s, 0.021113328679593462);
+  EXPECT_EQ(gather.fb_hash, 8378137487193698669ull);
+  EXPECT_EQ(seq.total_s, 0.030942360000000002);
+  EXPECT_EQ(seq_hash, 18435963126378929503ull);
 }
 
 }  // namespace

@@ -5,13 +5,12 @@
 // The corpus file is committed (tests/golden/determinism_corpus.txt) and
 // pins the simulation's bit-exact behavior: any change to RNG streams,
 // decomposition, exchange ordering, balancing decisions or the renderer
-// shows up as a hash mismatch against the checked-in values. CI replays a
-// 4-run subset in the fast tier; `check` replays everything.
+// shows up as a hash mismatch against the checked-in values. `check`
+// replays every cell; the fast tier runs it with `--exec-mode both`.
 //
 // Usage:
 //   golden_corpus generate <corpus-file>
-//   golden_corpus check    <corpus-file> [--subset N]
-//                          [--exec-mode fibers|threads|both]
+//   golden_corpus check    <corpus-file> [--exec-mode fibers|threads|both]
 //
 // `generate` is only rerun deliberately, when a change is *supposed* to
 // alter results (new RNG layout, renderer change); the diff then documents
@@ -21,7 +20,7 @@
 // cell runs under the fiber scheduler AND the thread-per-rank oracle, and
 // both emitted lines (framebuffer hash + %.17g makespan) must be
 // string-identical to each other and to the committed corpus. CI wires
-// this as the determinism.exec_mode_parity fast-tier test.
+// this as the determinism.golden_corpus_full fast-tier test.
 
 #include <cinttypes>
 #include <cstdio>
@@ -123,7 +122,7 @@ int generate(const std::string& path) {
   return 0;
 }
 
-int check(const std::string& path, int subset, const std::string& exec_mode) {
+int check(const std::string& path, const std::string& exec_mode) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "golden_corpus: cannot read %s\n", path.c_str());
@@ -141,14 +140,6 @@ int check(const std::string& path, int subset, const std::string& exec_mode) {
                  want.size(), cells.size());
     return 2;
   }
-  // A subset of N spreads across the grid (every stride-th cell), so even
-  // N=4 touches both scenes and both balancing modes.
-  const std::size_t n = subset > 0
-                            ? std::min<std::size_t>(
-                                  static_cast<std::size_t>(subset),
-                                  cells.size())
-                            : cells.size();
-  const std::size_t stride = cells.size() / n;
   std::vector<mp::ExecMode> modes;
   if (exec_mode == "fibers") {
     modes = {mp::ExecMode::kFibers};
@@ -164,10 +155,7 @@ int check(const std::string& path, int subset, const std::string& exec_mode) {
     return 2;
   }
   int mismatches = 0;
-  std::size_t replayed = 0;
-  for (std::size_t i = 0; i < cells.size(); i += stride) {
-    if (replayed >= n) break;
-    ++replayed;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
     std::string first;
     for (std::size_t m = 0; m < modes.size(); ++m) {
       const char* mode_name = modes[m] == mp::ExecMode::kThreads ? "threads"
@@ -193,9 +181,9 @@ int check(const std::string& path, int subset, const std::string& exec_mode) {
       }
     }
   }
-  std::printf("golden_corpus: replayed %zu/%zu cells (%zu mode%s), "
+  std::printf("golden_corpus: replayed %zu cells (%zu mode%s), "
               "%d mismatches\n",
-              replayed, cells.size(), modes.size(),
+              cells.size(), modes.size(),
               modes.size() == 1 ? "" : "s", mismatches);
   return mismatches == 0 ? 0 : 1;
 }
@@ -206,8 +194,8 @@ int main(int argc, char** argv) {
   const auto usage = [] {
     std::fprintf(stderr,
                  "usage: golden_corpus generate <file>\n"
-                 "       golden_corpus check <file> [--subset N]\n"
-                 "                          [--exec-mode fibers|threads|both]\n");
+                 "       golden_corpus check <file> "
+                 "[--exec-mode fibers|threads|both]\n");
     return 2;
   };
   if (argc < 3) return usage();
@@ -215,16 +203,13 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
   if (mode == "generate") return generate(path);
   if (mode == "check") {
-    int subset = 0;
     std::string exec_mode;
     for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--subset") == 0 && i + 1 < argc) {
-        subset = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--exec-mode") == 0 && i + 1 < argc) {
+      if (std::strcmp(argv[i], "--exec-mode") == 0 && i + 1 < argc) {
         exec_mode = argv[++i];
       }
     }
-    return check(path, subset, exec_mode);
+    return check(path, exec_mode);
   }
   return usage();
 }
